@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import schur, verifier, wow
 from .shapes import (
@@ -35,11 +33,7 @@ def _emit(payload, as_json: bool, text_lines):
 
 
 def cmd_expand(args) -> int:
-    try:
-        shape = parse_shape(args.shape)
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    shape = parse_shape(args.shape)
     if args.vars:
         poly = schur.monomial_expansion(shape, args.vars)
         payload = {
@@ -84,17 +78,13 @@ def _pick_structure(gamma: SkewShape, index: int | None):
 
 
 def cmd_verify(args) -> int:
-    try:
-        beta = parse_shape(args.beta)
-        gamma = parse_shape(args.gamma)
-        if not beta.is_partition_shape():
-            raise ShapeError("beta must be a partition shape")
-        if not is_connected(gamma):
-            raise ShapeError("gamma must be connected")
-        structure, structures = _pick_structure(gamma, args.w)
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    beta = parse_shape(args.beta)
+    gamma = parse_shape(args.gamma)
+    if not beta.is_partition_shape():
+        raise ShapeError("beta must be a partition shape")
+    if not is_connected(gamma):
+        raise ShapeError("gamma must be connected")
+    structure, structures = _pick_structure(gamma, args.w)
 
     beta_parts = beta.outer
     hypotheses_fail = False
@@ -142,8 +132,7 @@ def cmd_verify(args) -> int:
     return 0 if report.equal else 1
 
 
-def _search_one(item):
-    gamma, beta_list = item
+def _search_one(gamma, beta_list):
     rows = []
     for structure in wow.detect_wow(gamma):
         keys = wow.key_ribbons(structure)
@@ -170,30 +159,16 @@ def cmd_search(args) -> int:
         print("error: --max-size must be at least 1", file=sys.stderr)
         return 2
     betas = []
-    try:
-        for text in args.beta or ["2,1"]:
-            b = parse_shape(text)
-            if not b.is_partition_shape():
-                raise ShapeError(f"beta {text!r} must be a partition")
-            betas.append(b.outer)
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for text in args.beta or ["2,1"]:
+        b = parse_shape(text)
+        if not b.is_partition_shape():
+            raise ShapeError(f"beta {text!r} must be a partition")
+        betas.append(b.outer)
 
     gammas = []
     for n in range(1, args.max_size + 1):
         gammas.extend(sorted(connected_shapes(n), key=shape_sort_key))
-    work = [(g, betas) for g in gammas]
-    try:
-        threads = int(os.environ.get("SCHURHOPF_THREADS", "1") or "1")
-    except ValueError:
-        threads = 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_search_one, work))
-    else:
-        chunks = [_search_one(item) for item in work]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for g in gammas for row in _search_one(g, betas)]
     rows.sort(key=lambda r: (r["gamma"], r["structure"], r["beta"]))
 
     payload = {"schema": SCHEMA, "maxSize": args.max_size, "instances": rows}
@@ -238,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "expand":
-        return cmd_expand(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "search":
-        return cmd_search(args)
-    return 2
+    command = {"expand": cmd_expand, "verify": cmd_verify, "search": cmd_search}
+    try:
+        return command[args.command](args)
+    except ValueError as exc:
+        # library input errors all derive from ValueError; exit 1 means "differ"
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from .shapes import (
     Composition,
     SkewShape,
     connected_components,
+    direct_sum,
     is_connected_cells,
     is_ribbon,
     ribbon_composition_of,
@@ -84,7 +85,7 @@ def class_of_cells(cells) -> ShapeClass:
 
 def class_schur(cls: ShapeClass) -> schur.SymFunc:
     """Image of a class in symmetric functions."""
-    return schur.schur_of_shape_set(cls.components)
+    return schur.schur_expand(direct_sum(cls.components))
 
 
 def class_h_expansion(cls: ShapeClass) -> dict:
@@ -346,6 +347,19 @@ def _h_cached(cls: ShapeClass) -> dict:
     return f
 
 
+def combo_to_h(combo: dict) -> dict:
+    """Nonzero h-basis coefficients of a class combination's image.
+
+    Coefficients may be integers or Fractions; the combination is zero as
+    a symmetric function exactly when the result is empty.
+    """
+    total: dict = {}
+    for cls, m in combo.items():
+        for p, c in _h_cached(cls).items():
+            total[p] = total.get(p, 0) + m * c
+    return {p: v for p, v in total.items() if v}
+
+
 def _combos_equal_as_symfuncs(lhs: dict[ShapeClass, int], rhs: dict[ShapeClass, int]) -> bool:
     """Whether two integer class combinations map to the same symmetric function.
 
@@ -355,14 +369,7 @@ def _combos_equal_as_symfuncs(lhs: dict[ShapeClass, int], rhs: dict[ShapeClass, 
     residue: dict[ShapeClass, int] = dict(lhs)
     for cls, m in rhs.items():
         residue[cls] = residue.get(cls, 0) - m
-    residue = {c: m for c, m in residue.items() if m != 0}
-    if not residue:
-        return True
-    total: dict = {}
-    for cls, m in residue.items():
-        for p, c in _h_cached(cls).items():
-            total[p] = total.get(p, 0) + m * c
-    return all(v == 0 for v in total.values())
+    return not combo_to_h({c: m for c, m in residue.items() if m != 0})
 
 
 def image_cocommutativity(shape: SkewShape, slice_size: int | None = None) -> bool:

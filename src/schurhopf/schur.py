@@ -14,10 +14,10 @@ from .shapes import (
     Partition,
     SkewShape,
     check_partition,
-    connected_components,
-    partitions_of,
+    direct_sum,
     ribbon_shape,
     skew_from_cells,
+    transpose,
 )
 
 
@@ -166,7 +166,7 @@ def _row_spans(shape: SkewShape) -> list[tuple[int, int]]:
     return spans
 
 
-def _lattice_fillings(shape: SkewShape, content_cap: Partition | None = None):
+def _lattice_fillings(shape: SkewShape):
     """Yield contents of Littlewood-Richardson fillings of a connected-or-not shape.
 
     Cells are visited in reading order (rows top to bottom, right to left);
@@ -183,8 +183,6 @@ def _lattice_fillings(shape: SkewShape, content_cap: Partition | None = None):
             cells.append((r, c))
     n = shape.size
     maxe = len(spans)
-    if content_cap is not None:
-        maxe = min(maxe, len(content_cap))
     counts = [0] * (maxe + 2)
     values: dict[tuple[int, int], int] = {}
 
@@ -210,8 +208,6 @@ def _lattice_fillings(shape: SkewShape, content_cap: Partition | None = None):
         for v in range(lo, hi + 1):
             if v > 1 and counts[v - 1] <= counts[v]:
                 continue
-            if content_cap is not None and counts[v] >= content_cap[v - 1]:
-                continue
             counts[v] += 1
             values[(r, c)] = v
             yield from rec(idx + 1)
@@ -230,81 +226,42 @@ _expand_cache: dict[frozenset, SymFunc] = {}
 def schur_expand(shape: SkewShape) -> SymFunc:
     """Expansion of the skew Schur function in the Schur basis.
 
-    Connected shapes are expanded by enumerating Littlewood-Richardson
-    fillings; disconnected shapes multiply their components' expansions.
+    The coefficient of s_nu counts the Littlewood-Richardson fillings of
+    the shape with content nu; disconnected shapes need no special case.
     """
     key = shape.cells
     cached = _expand_cache.get(key)
     if cached is not None:
         return cached
-    comps = connected_components(shape)
-    if len(comps) <= 1:
-        coeffs: dict[Partition, int] = {}
-        for content in _lattice_fillings(shape):
-            coeffs[content] = coeffs.get(content, 0) + 1
-        result = SymFunc.from_dict(shape.size, coeffs)
-    else:
-        result = SymFunc.basis(())
-        for comp in comps:
-            result = multiply(result, schur_expand(comp))
+    coeffs: dict[Partition, int] = {}
+    for content in _lattice_fillings(shape):
+        coeffs[content] = coeffs.get(content, 0) + 1
+    result = SymFunc.from_dict(shape.size, coeffs)
     _expand_cache[key] = result
     return result
 
 
-_lr_cache: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-
-
-def _lr_products(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """All lambda with nonzero c^lambda_{mu,nu}, with their coefficients."""
-    key = (mu, nu) if mu >= nu else (nu, mu)
-    cached = _lr_cache.get(key)
-    if cached is not None:
-        return cached
-    mu, nu = key
-    n = sum(mu) + sum(nu)
-    out: dict[Partition, int] = {}
-    max_len = len(mu) + len(nu)
-    max_first = (mu[0] if mu else 0) + (nu[0] if nu else 0)
-    for lam in partitions_of(n, max_part=max_first, max_len=max_len):
-        if len(lam) < len(mu) or any(lam[i] < mu[i] for i in range(len(mu))):
-            continue
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out[lam] = c
-    _lr_cache[key] = out
-    return out
-
-
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient by direct enumeration of fillings."""
+    """Littlewood-Richardson coefficient: the s_nu coefficient of s_{lam/mu}."""
     lam = check_partition(lam)
     mu = check_partition(mu)
     nu = check_partition(nu)
-    if sum(lam) != sum(mu) + sum(nu):
-        return 0
     try:
         shape = SkewShape(lam, mu)
     except ValueError:
         return 0
-    return sum(1 for content in _lattice_fillings(shape, content_cap=nu) if content == nu)
+    return schur_expand(shape).as_dict().get(nu, 0)
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Product via Littlewood-Richardson coefficients; degrees add."""
+    """Product via s_mu * s_nu = s_{mu (+) nu}, the direct-sum skew shape."""
     out: dict[Partition, int] = {}
     for mu, a in f.coeffs:
         for nu, b in g.coeffs:
-            for lam, c in _lr_products(mu, nu).items():
+            pair = direct_sum((SkewShape(mu), SkewShape(nu)))
+            for lam, c in schur_expand(pair).coeffs:
                 out[lam] = out.get(lam, 0) + a * b * c
     return SymFunc.from_dict(f.degree + g.degree, out)
-
-
-def schur_of_shape_set(shapes) -> SymFunc:
-    """Product of the expansions of a collection of shapes."""
-    result = SymFunc.basis(())
-    for shape in shapes:
-        result = multiply(result, schur_expand(shape))
-    return result
 
 
 def connected_ribbons_of_size(n: int) -> list[Composition]:
@@ -339,26 +296,20 @@ def ribbon_product(a: Composition, b: Composition) -> tuple[Composition, Composi
     return concat, stacked
 
 
-def schur_equal(a: SkewShape, b: SkewShape, expand_limit: int = 18) -> bool:
+def schur_equal(a: SkewShape, b: SkewShape) -> bool:
     """Whether two shapes index the same skew Schur function.
 
-    Small degrees compare Schur expansions; past expand_limit the
-    Jacobi-Trudi h-expansions are compared instead, which is equivalent
-    because the complete homogeneous functions are algebraically
-    independent.  Tall shapes are conjugated first (conjugation is a ring
-    automorphism, so equality is preserved) to keep the determinants
-    small.
+    Compares the Jacobi-Trudi h-expansions, which is exact because the
+    complete homogeneous functions are algebraically independent.  Tall
+    shapes are conjugated first (conjugation is a ring automorphism, so
+    equality is preserved) to keep the determinants small.
     """
     if a.size != b.size:
         return False
-    if a.size <= expand_limit:
-        return schur_expand(a) == schur_expand(b)
 
     def rows_cols(shape):
         canon = skew_from_cells(shape.cells)
         return len(canon.outer), canon.outer[0] if canon.outer else 0
-
-    from .shapes import transpose
 
     ra, ca = rows_cols(a)
     rb, cb = rows_cols(b)

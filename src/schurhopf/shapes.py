@@ -377,6 +377,24 @@ def translate_cells(cells, delta: Cell) -> frozenset[Cell]:
     return frozenset((r + dr, c + dc) for r, c in cells)
 
 
+def direct_sum(shapes) -> SkewShape:
+    """Place shapes from northeast to southwest, sharing no row or column.
+
+    The first shape sits top right and each next one below and left of
+    the last, so the skew Schur function of the result is the product of
+    the pieces' skew Schur functions.
+    """
+    pieces = [s.cells for s in shapes if s.cells]
+    widths = [max(c for _, c in p) + 1 for p in pieces]
+    cells: set[Cell] = set()
+    row, col = 0, sum(widths)
+    for p, width in zip(pieces, widths):
+        col -= width
+        cells |= translate_cells(p, (row, col))
+        row += max(r for r, _ in p) + 1
+    return skew_from_cells(cells)
+
+
 def parse_shape(text: str) -> SkewShape:
     """Parse "4,4,2,2/2,1", "3,1" or "0" (the empty partition)."""
 

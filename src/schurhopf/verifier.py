@@ -338,30 +338,11 @@ def _combo_add(acc: Combo, cls, coeff):
             del acc[cls]
 
 
-def _combo_is_zero_sym(combo: Combo) -> bool:
-    """Whether a rational class combination is zero as a symmetric function."""
-    total: dict = {}
-    for cls, m in combo.items():
-        if not m:
-            continue
-        for p, c in hopf._h_cached(cls).items():
-            total[p] = total.get(p, 0) + m * c
-    return all(v == 0 for v in total.values())
-
-
 def _combo_diff(a: Combo, b: Combo) -> Combo:
     out = dict(a)
     for cls, m in b.items():
         _combo_add(out, cls, -m)
     return out
-
-
-def _combo_to_h(combo: Combo) -> dict[Partition, Fraction]:
-    total: dict = {}
-    for cls, m in combo.items():
-        for p, c in hopf._h_cached(cls).items():
-            total[p] = total.get(p, 0) + m * c
-    return {p: v for p, v in total.items() if v}
 
 
 @dataclass
@@ -428,11 +409,11 @@ class ProofTrace:
             "parity": list(self.parity),
             "columns": [render_col(c) for c in self.columns],
             "columnSumsLeft": {
-                str(render_col(c)): render_h(_combo_to_h(v))
+                str(render_col(c)): render_h(hopf.combo_to_h(v))
                 for c, v in self.column_sums_left.items()
             },
             "columnSumsRight": {
-                str(render_col(c)): render_h(_combo_to_h(v))
+                str(render_col(c)): render_h(hopf.combo_to_h(v))
                 for c, v in self.column_sums_right.items()
             },
             "columnEqual": {str(render_col(c)): v for c, v in self.column_equal.items()},
@@ -610,7 +591,7 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     for lab in columns:
         if lab in key_labels:
             continue
-        column_equal[lab] = _combo_is_zero_sym(_combo_diff(col_right[lab], col_left[lab]))
+        column_equal[lab] = not hopf.combo_to_h(_combo_diff(col_right[lab], col_left[lab]))
 
     # v' applied to the whole matrix vanishes, i.e. the alpha1 column is the
     # signed sum of the non-key columns (the delta column carries weight 0)
@@ -622,7 +603,7 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
                 continue
             for cls, m in colsums[lab].items():
                 _combo_add(acc, cls, w * m)
-        return _combo_is_zero_sym(acc)
+        return not hopf.combo_to_h(acc)
 
     signed_column_ok = signed_column_zero(col_right) and signed_column_zero(col_left)
 
@@ -630,20 +611,20 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     x_class = direct_left[0][2] if len(direct_left) == 1 else None
     y_class = direct_right[0][2] if len(direct_right) == 1 else None
     balance_ok = False
-    key_column_equal = _combo_is_zero_sym(
+    key_column_equal = not hopf.combo_to_h(
         _combo_diff(col_right[columns[i1]], col_left[columns[i1]])
     )
     if x_class is not None and y_class is not None:
         balance = _combo_diff(col_right[columns[i1]], col_left[columns[i1]])
         _combo_add(balance, x_class, Fraction(1))
         _combo_add(balance, y_class, Fraction(-1))
-        balance_ok = _combo_is_zero_sym(balance)
+        balance_ok = not hopf.combo_to_h(balance)
         if modified:
             delta_balance = _combo_diff(
                 col_right[columns[i2]], col_left[columns[i2]]
             )
             _combo_add(delta_balance, y_class, Fraction(-1))
-            balance_ok = balance_ok and _combo_is_zero_sym(delta_balance)
+            balance_ok = balance_ok and not hopf.combo_to_h(delta_balance)
 
     equal = schur.schur_equal(lhs_shape, rhs_shape)
 

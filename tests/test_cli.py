@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from schurhopf.cli import main
 
 
@@ -144,8 +146,20 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--max-size", "0")
         assert code == 2
 
-    def test_threads_deterministic(self, capsys, monkeypatch):
-        _, serial, _ = run(capsys, "search", "--max-size", "5", "--json")
-        monkeypatch.setenv("SCHURHOPF_THREADS", "4")
-        _, threaded, _ = run(capsys, "search", "--max-size", "5", "--json")
-        assert serial == threaded
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--beta", "3,1", "--gamma", "4,4,2,2/2,1", "--trace"),
+        ("verify", "--beta", "0", "--gamma", "4,4,2,2/2,1"),
+        ("expand", "2", "--vars", "-1"),
+        ("search", "--max-size", "3", "--beta", "0"),
+    ],
+)
+def test_library_error_exit_2(capsys, argv):
+    # a library error is bad input (2), never a traceback that reads as "differ" (1)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

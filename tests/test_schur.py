@@ -177,7 +177,7 @@ class TestSchurEqual:
         assert not schur_equal(shp("2"), shp("3"))
 
     def test_large_path_uses_h(self):
-        # 20 cells forces the Jacobi-Trudi comparison
+        # 20 cells, where the h-expansion is far cheaper than LR
         tall = SkewShape((2,) * 10)
         assert schur_equal(tall, rotate180(tall))
         assert not schur_equal(tall, SkewShape((4,) * 5))
@@ -190,7 +190,20 @@ class TestSchurEqual:
         for beta in [(2, 1), (2, 2, 1), (3, 2)]:
             a = compose(SkewShape(beta), st)
             b = compose(rotate180(SkewShape(beta)), st)
-            assert schur_equal(a, b, expand_limit=100) == schur_equal(a, b, expand_limit=0)
+            assert schur_equal(a, b) == (schur_expand(a) == schur_expand(b))
+
+    def test_groupings_agree_in_box(self):
+        # the h route must join each shape to its LR class and keep every two
+        # LR classes apart, so its "not equal" verdicts are checked too
+        by_lr: dict = {}
+        for shape in box_bounded_shapes(6, 6):
+            by_lr.setdefault(schur_expand(shape), []).append(shape)
+        assert sum(map(len, by_lr.values())) == 5214 and len(by_lr) == 148
+        for group in by_lr.values():
+            assert all(schur_equal(group[0], s) for s in group[1:])
+        reps = [group[0] for group in by_lr.values()]
+        for i, a in enumerate(reps):
+            assert not any(schur_equal(a, b) for b in reps[i + 1 :])
 
 
 class TestRendering:

@@ -12,6 +12,7 @@ from schurhopf.shapes import (
     connected_components,
     connected_shapes,
     diagonal,
+    direct_sum,
     format_shape,
     is_connected,
     is_ribbon,
@@ -135,6 +136,12 @@ class TestConnectivity:
     def test_empty(self):
         assert connected_components(EMPTY_SHAPE) == ()
         assert is_connected(EMPTY_SHAPE)
+
+    def test_direct_sum_northeast_to_southwest(self):
+        # pieces share no row or column, first piece top right; empties vanish
+        total = direct_sum((shp("2,1"), EMPTY_SHAPE, shp("1"), shp("2,2/1")))
+        assert format_shape(total) == "5,4,3,2,2/3,3,2,1"
+        assert direct_sum(()) == EMPTY_SHAPE
 
 
 class TestRibbons:
