@@ -87,17 +87,14 @@ def cmd_verify(args) -> int:
     structure, structures = _pick_structure(gamma, args.w)
 
     beta_parts = beta.outer
-    hypotheses_fail = False
     try:
         if args.corollary:
             report = verifier.verify_corollary(beta_parts, structure, strict=args.strict)
         else:
             report = verifier.verify_main_theorem(beta_parts, structure, strict=args.strict)
     except (verifier.BadBetaError, verifier.HypothesesFailError) as exc:
-        if args.strict:
-            print(f"hypotheses fail: {exc}", file=sys.stderr)
-            return 3
-        raise
+        print(f"hypotheses fail: {exc}", file=sys.stderr)
+        return 3
 
     trace = None
     if args.trace:
@@ -135,8 +132,6 @@ def cmd_verify(args) -> int:
 def _search_one(gamma, beta_list):
     rows = []
     for structure in wow.detect_wow(gamma):
-        keys = wow.key_ribbons(structure)
-        loose = wow.has_loose_end_ribbons(structure)
         for beta in beta_list:
             report = verifier.verify_main_theorem(beta, structure, strict=False, expansions=False)
             rows.append(
@@ -144,8 +139,8 @@ def _search_one(gamma, beta_list):
                     "gamma": format_shape(gamma),
                     "structure": structure.describe(),
                     "orientation": structure.orientation,
-                    "keySize": keys.size,
-                    "looseEnds": loose.found,
+                    "keySize": structure.keys.size,
+                    "looseEnds": structure.loose_ends.found,
                     "beta": list(beta),
                     "hypothesesHold": report.mode == "theorem",
                     "equal": report.equal,
@@ -156,8 +151,7 @@ def _search_one(gamma, beta_list):
 
 def cmd_search(args) -> int:
     if args.max_size < 1:
-        print("error: --max-size must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--max-size must be at least 1")
     betas = []
     for text in args.beta or ["2,1"]:
         b = parse_shape(text)

@@ -306,10 +306,13 @@ def schur_equal(a: SkewShape, b: SkewShape) -> bool:
     """
     if a.size != b.size:
         return False
+    if not a.cells:
+        return True
 
     def rows_cols(shape):
-        canon = skew_from_cells(shape.cells)
-        return len(canon.outer), canon.outer[0] if canon.outer else 0
+        # canonical cells start at row and column zero
+        cells = shape.cells
+        return max(r for r, _ in cells) + 1, max(c for _, c in cells) + 1
 
     ra, ca = rows_cols(a)
     rb, cb = rows_cols(b)

@@ -221,7 +221,8 @@ def transpose(shape: SkewShape) -> SkewShape:
     return skew_from_cells((c, r) for r, c in shape.cells)
 
 
-def _neighbors(cell: Cell):
+def neighbors(cell: Cell):
+    """The four edge-adjacent cells."""
     r, c = cell
     return ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
 
@@ -236,7 +237,7 @@ def components_of_cells(cells) -> list[frozenset[Cell]]:
         frontier = [seed]
         while frontier:
             cur = frontier.pop()
-            for nb in _neighbors(cur):
+            for nb in neighbors(cur):
                 if nb in cells:
                     cells.remove(nb)
                     comp.add(nb)
@@ -323,18 +324,16 @@ def rim_ribbon(shape: SkewShape, side: str) -> list[Cell]:
     return rim
 
 
-def ne_box(shape: SkewShape) -> Cell:
-    """Rightmost cell of the top row."""
-    cells = shape.cells
+def ne_box(cells) -> Cell:
+    """Rightmost cell of the top row of a cell set, in its own frame."""
     if not cells:
         raise ShapeError("empty shape has no northeasternmost box")
     top = min(r for r, _ in cells)
     return (top, max(c for r, c in cells if r == top))
 
 
-def sw_box(shape: SkewShape) -> Cell:
-    """Bottom cell of the leftmost column."""
-    cells = shape.cells
+def sw_box(cells) -> Cell:
+    """Bottom cell of the leftmost column of a cell set, in its own frame."""
     if not cells:
         raise ShapeError("empty shape has no southwesternmost box")
     left = min(c for _, c in cells)
@@ -362,14 +361,14 @@ def lies_in_top(w: SkewShape, a: SkewShape) -> list[frozenset[Cell]]:
     """Translations of w inside a that contain a's northeasternmost box."""
     if not a.cells or not w.cells:
         return []
-    return _placements(w, a, ne_box(a))
+    return _placements(w, a, ne_box(a.cells))
 
 
 def lies_in_bottom(w: SkewShape, a: SkewShape) -> list[frozenset[Cell]]:
     """Translations of w inside a that contain a's southwesternmost box."""
     if not a.cells or not w.cells:
         return []
-    return _placements(w, a, sw_box(a))
+    return _placements(w, a, sw_box(a.cells))
 
 
 def translate_cells(cells, delta: Cell) -> frozenset[Cell]:

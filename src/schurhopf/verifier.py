@@ -261,8 +261,16 @@ class Report:
 EXPANSION_LIMIT = 26  # beyond this the report omits Schur expansions
 
 
+def _check_hypotheses(beta: Partition, structure: wow.WowStructure) -> None:
+    """Raise unless beta and the structure satisfy the theorem's hypotheses."""
+    if not is_rect_minus_corner(beta):
+        raise BadBetaError(f"{beta} is not a rectangle minus its corner")
+    if structure.loose_ends.found:
+        raise HypothesesFailError("structure has loose end ribbons")
+
+
 def _build_report(instance, beta, structure, lhs_shape, rhs_shape, expansions=True) -> Report:
-    loose = wow.has_loose_end_ribbons(structure)
+    loose = structure.loose_ends
     beta_ok = is_rect_minus_corner(beta)
     hypotheses = {
         "betaShape": beta_ok,
@@ -290,18 +298,14 @@ def verify_main_theorem(
     expansions: bool = True,
 ) -> Report:
     """Compare compose(beta) with compose(beta rotated) on one structure."""
-    structure.validate()
     beta = tuple(beta)
-    if strict and not is_rect_minus_corner(beta):
-        raise BadBetaError(f"{beta} is not a rectangle minus its corner")
+    if strict:
+        _check_hypotheses(beta, structure)
     beta_shape = SkewShape(beta)
     lhs = wow.compose(beta_shape, structure)
     rhs = wow.compose(rotate180(beta_shape), structure)
     instance = f"beta={','.join(map(str, beta))} gamma={format_shape(structure.gamma)}"
-    report = _build_report(instance, beta, structure, lhs, rhs, expansions)
-    if strict and report.hypotheses["looseEnds"]:
-        raise HypothesesFailError("structure has loose end ribbons")
-    return report
+    return _build_report(instance, beta, structure, lhs, rhs, expansions)
 
 
 def verify_corollary(
@@ -311,10 +315,9 @@ def verify_corollary(
     expansions: bool = True,
 ) -> Report:
     """Compare compose(beta) on the structure and on its half-turn."""
-    structure.validate()
     beta = tuple(beta)
-    if strict and not is_rect_minus_corner(beta):
-        raise BadBetaError(f"{beta} is not a rectangle minus its corner")
+    if strict:
+        _check_hypotheses(beta, structure)
     beta_shape = SkewShape(beta)
     rotated = wow.rotate_structure(structure)
     lhs = wow.compose(beta_shape, structure)
@@ -322,10 +325,7 @@ def verify_corollary(
     instance = (
         f"corollary beta={','.join(map(str, beta))} gamma={format_shape(structure.gamma)}"
     )
-    report = _build_report(instance, beta, structure, lhs, rhs, expansions)
-    if strict and report.hypotheses["looseEnds"]:
-        raise HypothesesFailError("structure has loose end ribbons")
-    return report
+    return _build_report(instance, beta, structure, lhs, rhs, expansions)
 
 
 Combo = dict  # ShapeClass -> Fraction
@@ -445,17 +445,12 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     factors to the direct terms and everything else into the matrices,
     and checks the column equalities and the key-column balance.
     """
-    structure.validate()
     beta = tuple(beta)
-    keys = wow.key_ribbons(structure)
+    if strict:
+        _check_hypotheses(beta, structure)
+    keys = structure.keys
     n = keys.size
     alpha1, alpha2 = keys.top, keys.bottom
-    loose = wow.has_loose_end_ribbons(structure)
-    if strict:
-        if not is_rect_minus_corner(beta):
-            raise BadBetaError(f"{beta} is not a rectangle minus its corner")
-        if loose.found:
-            raise HypothesesFailError("structure has loose end ribbons")
     s_parts = filled_rectangle(beta, structure.orientation)
     rows_s, cols_s = len(s_parts), s_parts[0]
     degenerate = rows_s == 1 or cols_s == 1

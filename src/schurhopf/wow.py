@@ -25,6 +25,7 @@ from .shapes import (
     is_connected,
     is_connected_cells,
     ne_box,
+    neighbors,
     rim_ribbon,
     ribbon_composition_of,
     shape_sort_key,
@@ -56,16 +57,10 @@ def _is_valid_connected_piece(cells) -> bool:
     return is_connected_cells(cells) and _try_shape(cells) is not None
 
 
-def _extreme_box(cells, kind: str) -> Cell:
-    if kind == "ne":
-        top = min(r for r, _ in cells)
-        return (top, max(c for r, c in cells if r == top))
-    left = min(c for _, c in cells)
-    return (max(r for r, c in cells if c == left), left)
-
-
 @dataclass(frozen=True, eq=False)
 class WowStructure:
+    """A structure on gamma; construction checks the axioms (StructureError)."""
+
     gamma: SkewShape
     orientation: str
     upper_w: frozenset[Cell]
@@ -76,6 +71,7 @@ class WowStructure:
         object.__setattr__(
             self, "o_cells", frozenset(self.gamma.cells - self.upper_w - self.lower_w)
         )
+        self._validate()
 
     @cached_property
     def w_shape(self) -> SkewShape:
@@ -101,22 +97,27 @@ class WowStructure:
         step = -1 if self.orientation == RR else 1
         return (dr + step, dc + step)
 
-    def validate(self):
-        gamma = self.gamma
-        cells = gamma.cells
-        if not is_connected(gamma):
+    @cached_property
+    def keys(self) -> KeyRibbons:
+        return key_ribbons(self)
+
+    @cached_property
+    def loose_ends(self) -> LooseEnds:
+        return has_loose_end_ribbons(self)
+
+    def _validate(self):
+        cells = self.gamma.cells
+        if not is_connected_cells(cells):
             raise StructureError("gamma must be connected")
         if not (self.upper_w <= cells and self.lower_w <= cells):
             raise StructureError("W copies must lie inside gamma")
-        upper = skew_from_cells(self.upper_w)
-        lower = skew_from_cells(self.lower_w)
-        if upper.cells != lower.cells:
+        if self.w_shape != skew_from_cells(self.lower_w):
             raise StructureError("the two W copies must be translates of one shape")
-        if not is_connected(upper):
+        if not is_connected(self.w_shape):
             raise StructureError("W must be connected")
-        if ne_box(gamma) not in self.upper_w:
+        if ne_box(cells) not in self.upper_w:
             raise StructureError("upper W must lie in the top of gamma")
-        if sw_box(gamma) not in self.lower_w:
+        if sw_box(cells) not in self.lower_w:
             raise StructureError("lower W must lie in the bottom of gamma")
         for removed in (self.upper_w, self.lower_w):
             if not _is_valid_connected_piece(cells - removed):
@@ -174,10 +175,8 @@ class WowStructure:
 def _adjacency_holds(o_cells, upper_w, lower_w, orientation) -> bool:
     if not o_cells:
         return False
-    osw = _extreme_box(o_cells, "sw")
-    one = _extreme_box(o_cells, "ne")
-    r1, c1 = osw
-    r2, c2 = one
+    r1, c1 = sw_box(o_cells)
+    r2, c2 = ne_box(o_cells)
     if orientation == RR:
         return (r1, c1 - 1) in lower_w and (r2, c2 + 1) in upper_w
     return (r1 + 1, c1) in lower_w and (r2 - 1, c2) in upper_w
@@ -201,7 +200,7 @@ def _connected_subsets(cells, anchor, max_size):
             tail_set = set(tail)
             grown = tail + [
                 nb
-                for nb in _cell_neighbors(cand)
+                for nb in neighbors(cand)
                 if nb in cells
                 and nb not in current
                 and nb not in new_banned
@@ -210,13 +209,8 @@ def _connected_subsets(cells, anchor, max_size):
             yield from rec(current, grown, new_banned)
             current.remove(cand)
 
-    start = [nb for nb in _cell_neighbors(anchor) if nb in cells]
+    start = [nb for nb in neighbors(anchor) if nb in cells]
     yield from rec({anchor}, start, set())
-
-
-def _cell_neighbors(cell: Cell):
-    r, c = cell
-    return ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
 
 
 def detect_wow(gamma: SkewShape) -> list[WowStructure]:
@@ -245,8 +239,8 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
             pool.setdefault(canonicalize_cells(subset), set()).add(subset)
         return pool
 
-    tops = placement_pool(ne_box(gamma))
-    bottoms = placement_pool(sw_box(gamma))
+    tops = placement_pool(ne_box(cells))
+    bottoms = placement_pool(sw_box(cells))
 
     candidates = []
     for key in sorted(tops.keys() & bottoms.keys(), key=sorted):
@@ -288,11 +282,8 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
 
     out = []
     for orientation, t, b in candidates:
-        if not maximal(t, b):
-            continue
-        structure = WowStructure(gamma, orientation, t, b)
-        structure.validate()
-        out.append(structure)
+        if maximal(t, b):
+            out.append(WowStructure(gamma, orientation, t, b))
     out.sort(
         key=lambda s: (-len(s.upper_w), s.orientation, sorted(s.upper_w), sorted(s.lower_w))
     )
@@ -359,7 +350,6 @@ def compose_layout(
     alpha's cell (0, 0) frame would sit at the origin), and shift is the
     translation applied to reach the returned canonical shape.
     """
-    structure.validate()
     acells = alpha.cells
     if not acells:
         raise ValueError("alpha must be nonempty")
@@ -415,7 +405,6 @@ def key_ribbons(structure: WowStructure) -> KeyRibbons:
     amalgam ribbon lies inside one of the two copies in each of the four
     orientation/side cases.
     """
-    structure.validate()
     amalgam = self_amalgam_cells(structure)
     amalgam_shape = skew_from_cells(amalgam)
     shift = structure.amalg_shift
@@ -473,7 +462,7 @@ def has_loose_end_ribbons(structure: WowStructure) -> LooseEnds:
     footprint (in NW rim order) or a right-removable one ending strictly
     right of the bottom key footprint; UU mirrors the comparisons.
     """
-    keys = key_ribbons(structure)
+    keys = structure.keys
     n = keys.size
     gamma = structure.gamma
     nw = {cell: i for i, cell in enumerate(rim_ribbon(gamma, "NW"))}
@@ -525,9 +514,7 @@ def rotate_structure(structure: WowStructure) -> WowStructure:
     o2 = rot(structure.o_cells)
     for orientation in (structure.orientation, RR, UU):
         if _adjacency_holds(o2, upper2, lower2, orientation):
-            out = WowStructure(gamma2, orientation, upper2, lower2)
-            out.validate()
-            return out
+            return WowStructure(gamma2, orientation, upper2, lower2)
     raise StructureError("rotated structure satisfies neither orientation")
 
 

@@ -226,8 +226,8 @@ class TestPlacements:
 
     def test_extreme_boxes(self):
         shape = shp("4,4,2,2/2,1")
-        assert ne_box(shape) == (0, 3)
-        assert sw_box(shape) == (3, 0)
+        assert ne_box(shape.cells) == (0, 3)
+        assert sw_box(shape.cells) == (3, 0)
 
 
 class TestParsing:

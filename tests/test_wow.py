@@ -1,5 +1,6 @@
 import pytest
 
+from schurhopf import wow
 from schurhopf.shapes import (
     SkewShape,
     connected_shapes,
@@ -8,6 +9,7 @@ from schurhopf.shapes import (
     rotate180,
     skew_from_cells,
 )
+from schurhopf.verifier import proof_trace, verify_main_theorem
 from schurhopf.wow import (
     RR,
     UU,
@@ -66,9 +68,8 @@ class TestDetect:
 
     def test_validation_rejects_garbage(self):
         gamma = shp("4,4,2,2/2,1")
-        bad = WowStructure(gamma, RR, frozenset({(0, 3)}), frozenset({(3, 0)}))
         with pytest.raises(StructureError):
-            bad.validate()
+            WowStructure(gamma, RR, frozenset({(0, 3)}), frozenset({(3, 0)}))
 
 
 class TestAmalgamation:
@@ -198,11 +199,21 @@ class TestRotation:
     def test_positive_rotation(self, positive_structure):
         rot = rotate_structure(positive_structure)
         assert format_shape(rot.gamma) == "4,4,3,2/2,2"
-        rot.validate()
 
     def test_double_rotation_identity(self, positive_structure):
         twice = rotate_structure(rotate_structure(positive_structure))
         assert twice == positive_structure
+
+    def test_detection_commutes_with_rotation(self):
+        # detecting on the half-turn finds exactly the rotated structures
+        count = 0
+        for n in range(1, 9):
+            for gamma in connected_shapes(n):
+                structures = detect_wow(gamma)
+                count += len(structures)
+                rotated = {rotate_structure(st) for st in structures}
+                assert set(detect_wow(rotate180(gamma))) == rotated, format_shape(gamma)
+        assert count == 300
 
     def test_duality_on_small_catalog(self):
         beta = shp("2,1")
@@ -213,6 +224,27 @@ class TestRotation:
                     lhs = rotate180(compose(beta, st))
                     rhs = compose(beta_star, rotate_structure(st))
                     assert lhs == rhs
+
+
+class TestDerivedOnce:
+    def test_keys_and_loose_ends_computed_once(self, monkeypatch):
+        calls = {"key_ribbons": 0, "has_loose_end_ribbons": 0}
+
+        def counting(name):
+            original = getattr(wow, name)
+
+            def wrapper(structure):
+                calls[name] += 1
+                return original(structure)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(wow, name, counting(name))
+        st = detect_wow(shp("4,4,2,2/2,1"))[0]
+        verify_main_theorem((2, 1), st)
+        proof_trace((2, 1), st)
+        assert calls == {"key_ribbons": 1, "has_loose_end_ribbons": 1}
 
 
 class TestStructureSurface:
