@@ -97,7 +97,11 @@ def cmd_verify(args) -> int:
         return 3
 
     trace = None
-    if args.trace:
+    if args.trace and not verifier.is_rect_minus_corner(beta_parts):
+        # the column-sum argument needs beta's filled rectangle; report without it
+        print(f"note: no proof trace: beta {args.beta} is not a rectangle minus its corner",
+              file=sys.stderr)
+    elif args.trace:
         trace = verifier.proof_trace(beta_parts, structure, strict=args.strict)
         report.trace = trace
 

@@ -350,8 +350,9 @@ def _h_cached(cls: ShapeClass) -> dict:
 def combo_to_h(combo: dict) -> dict:
     """Nonzero h-basis coefficients of a class combination's image.
 
-    Coefficients may be integers or Fractions; the combination is zero as
-    a symmetric function exactly when the result is empty.
+    Coefficients are integers (the proof trace scales its rational column
+    sums by one common denominator first); the combination is zero as a
+    symmetric function exactly when the result is empty.
     """
     total: dict = {}
     for cls, m in combo.items():

@@ -1,15 +1,17 @@
 """Executable verification of the main identities and their proof machinery.
 
-All linear algebra is exact rational arithmetic over the basis of
-connected ribbon Schur functions.  The proof trace rebuilds the two
-column-sum matrices from the coproduct of s composed with gamma and
-checks every equality the argument relies on.
+Each basis of connected ribbon Schur functions stores an integer inverse
+over one common denominator D, so every solve is integer arithmetic.  The
+proof trace rebuilds the two column-sum matrices (scaled by D) from the
+coproduct of s composed with gamma, expands each column sum into the
+h-basis once, and checks every equality the argument relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import hopf, schur, wow
 from .shapes import (
@@ -60,6 +62,8 @@ class RibbonBasis:
     ribbons: tuple[Composition, ...]
     partitions: tuple[Partition, ...]
     matrix: tuple[tuple[int, ...], ...]  # row i = expansion of ribbons[i]
+    solver: tuple[tuple[int, ...], ...]  # solver / denominator inverts the transposed matrix
+    denominator: int
 
     def index(self, comp: Composition) -> int:
         return self.ribbons.index(tuple(comp))
@@ -117,16 +121,19 @@ def ribbon_basis(n: int, required: tuple[Composition, ...] = ()) -> RibbonBasis:
     if len(chosen) != target:
         raise VerifierError("ribbons failed to span; this should be impossible")
     matrix = tuple(_expansion_vector(c, order) for c in chosen)
-    return RibbonBasis(n, tuple(chosen), order, matrix)
+    solver, denominator = _integer_inverse_transpose(matrix)
+    return RibbonBasis(n, tuple(chosen), order, matrix, solver, denominator)
 
 
-def _solve_in_basis(basis: RibbonBasis, coeffs: dict[Partition, int]) -> tuple[Fraction, ...]:
-    """Exact solution x with sum_i x_i * row_i = coeffs."""
-    p = len(basis.partitions)
-    # augmented transpose: columns are ribbon vectors
+def _integer_inverse_transpose(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(A, D) with D > 0 and A / D the inverse of the transpose of an integer matrix.
+
+    One Gauss-Jordan pass in Fractions, scaled by the lcm of the
+    denominators; no later solve touches a Fraction.
+    """
+    p = len(matrix)
     aug = [
-        [Fraction(basis.matrix[i][j]) for i in range(p)]
-        + [Fraction(coeffs.get(basis.partitions[j], 0))]
+        [Fraction(matrix[i][j]) for i in range(p)] + [Fraction(int(i == j)) for i in range(p)]
         for j in range(p)
     ]
     for col in range(p):
@@ -138,7 +145,15 @@ def _solve_in_basis(basis: RibbonBasis, coeffs: dict[Partition, int]) -> tuple[F
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(aug[r][p] for r in range(p))
+    d = lcm(*(x.denominator for row in aug for x in row[p:]))
+    solver = tuple(tuple(x.numerator * (d // x.denominator) for x in row[p:]) for row in aug)
+    return solver, d
+
+
+def _solve_in_basis(basis: RibbonBasis, coeffs: dict[Partition, int]) -> tuple[int, ...]:
+    """D times the solution x of sum_i x_i * row_i = coeffs, D = basis.denominator."""
+    c = [coeffs.get(p, 0) for p in basis.partitions]
+    return tuple(sum(a * b for a, b in zip(row, c)) for row in basis.solver)
 
 
 def coefficient_vector(shape: SkewShape, basis: RibbonBasis) -> tuple[Fraction, ...]:
@@ -147,7 +162,8 @@ def coefficient_vector(shape: SkewShape, basis: RibbonBasis) -> tuple[Fraction, 
         raise DegreeMismatchError(
             f"shape of size {shape.size} against a degree-{basis.degree} basis"
         )
-    return _solve_in_basis(basis, schur.schur_expand(shape).as_dict())
+    scaled = _solve_in_basis(basis, schur.schur_expand(shape).as_dict())
+    return tuple(Fraction(x, basis.denominator) for x in scaled)
 
 
 def parity_vector(basis: RibbonBasis) -> tuple[int, ...]:
@@ -328,7 +344,7 @@ def verify_corollary(
     return _build_report(instance, beta, structure, lhs, rhs, expansions)
 
 
-Combo = dict  # ShapeClass -> Fraction
+Combo = dict  # ShapeClass -> int, scaled by the basis denominator
 
 
 def _combo_add(acc: Combo, cls, coeff):
@@ -338,11 +354,13 @@ def _combo_add(acc: Combo, cls, coeff):
             del acc[cls]
 
 
-def _combo_diff(a: Combo, b: Combo) -> Combo:
-    out = dict(a)
-    for cls, m in b.items():
-        _combo_add(out, cls, -m)
-    return out
+def _h_sum(terms) -> dict:
+    """Nonzero coefficients of sum w * image over (w, h-image) pairs."""
+    total: dict = {}
+    for w, image in terms:
+        for p, c in image.items():
+            total[p] = total.get(p, 0) + w * c
+    return {p: c for p, c in total.items() if c}
 
 
 @dataclass
@@ -359,8 +377,8 @@ class ProofTrace:
     parity: tuple[int, ...]
     s_shape: SkewShape
     columns: tuple  # column labels: compositions, possibly ("delta", a2, a1)
-    column_sums_left: dict
-    column_sums_right: dict
+    column_h_left: dict  # label -> h-image of the column sum, scaled by the denominator
+    column_h_right: dict
     column_equal: dict
     one_key_left_ok: bool
     one_key_right_ok: bool
@@ -375,6 +393,10 @@ class ProofTrace:
     direct_right: tuple = ()
     extra_left: tuple = ()
     extra_right: tuple = ()
+
+    @property
+    def denominator(self) -> int:
+        return self.basis.denominator
 
     def all_column_equalities_hold(self) -> bool:
         return all(self.column_equal.values())
@@ -395,7 +417,7 @@ class ProofTrace:
 
         def render_h(hmap):
             return [
-                {"partition": list(p), "coefficient": str(c)}
+                {"partition": list(p), "coefficient": str(Fraction(c, self.denominator))}
                 for p, c in sorted(hmap.items(), reverse=True)
             ]
 
@@ -409,12 +431,10 @@ class ProofTrace:
             "parity": list(self.parity),
             "columns": [render_col(c) for c in self.columns],
             "columnSumsLeft": {
-                str(render_col(c)): render_h(hopf.combo_to_h(v))
-                for c, v in self.column_sums_left.items()
+                str(render_col(c)): render_h(h) for c, h in self.column_h_left.items()
             },
             "columnSumsRight": {
-                str(render_col(c)): render_h(hopf.combo_to_h(v))
-                for c, v in self.column_sums_right.items()
+                str(render_col(c)): render_h(h) for c, h in self.column_h_right.items()
             },
             "columnEqual": {str(render_col(c)): v for c, v in self.column_equal.items()},
             "directLeft": [
@@ -548,13 +568,11 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
         i2 = basis.index(alpha2)
         columns[i2] = ("delta", alpha2, alpha1)
 
-    def vector_for(cls) -> list[Fraction]:
+    def vector_for(cls) -> list[int]:
         coeffs = hopf._schur_cached(cls).as_dict()
         vec = list(_solve_in_basis(basis, coeffs))
         if modified:
-            c1, c2 = vec[i1], vec[i2]
-            vec[i1] = c1 + c2
-            vec[i2] = c2
+            vec[i1] += vec[i2]
         return vec
 
     vprime = list(v)
@@ -578,48 +596,39 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     accumulate(r_rows, col_right)
     accumulate(l_rows, col_left)
 
-    # ---- the assertions --------------------------------------------------
+    # ---- the assertions, all on the h-images of the column sums ----------
+    h_left = {lab: hopf.combo_to_h(col_left[lab]) for lab in columns}
+    h_right = {lab: hopf.combo_to_h(col_right[lab]) for lab in columns}
     key_labels = {columns[i1]}
     if modified:
         key_labels.add(columns[i2])
-    column_equal = {}
-    for lab in columns:
-        if lab in key_labels:
-            continue
-        column_equal[lab] = not hopf.combo_to_h(_combo_diff(col_right[lab], col_left[lab]))
+    column_equal = {lab: h_right[lab] == h_left[lab] for lab in columns if lab not in key_labels}
 
     # v' applied to the whole matrix vanishes, i.e. the alpha1 column is the
     # signed sum of the non-key columns (the delta column carries weight 0)
-    def signed_column_zero(colsums) -> bool:
-        acc: Combo = {}
-        for j, lab in enumerate(columns):
-            w = 0 if (modified and j == i2) else v[j]
-            if not w:
-                continue
-            for cls, m in colsums[lab].items():
-                _combo_add(acc, cls, w * m)
-        return not hopf.combo_to_h(acc)
+    def signed_column_zero(images) -> bool:
+        return not _h_sum((w, images[lab]) for w, lab in zip(vprime, columns) if w)
 
-    signed_column_ok = signed_column_zero(col_right) and signed_column_zero(col_left)
+    signed_column_ok = signed_column_zero(h_right) and signed_column_zero(h_left)
 
-    # key-column balance: colsum_R(a1) + X = colsum_L(a1) + Y as symmetric functions
+    # key-column balance: colsum_R(a1) + X = colsum_L(a1) + Y as symmetric
+    # functions; the column sums carry the factor D, so X and Y enter with D
+    d = basis.denominator
     x_class = direct_left[0][2] if len(direct_left) == 1 else None
     y_class = direct_right[0][2] if len(direct_right) == 1 else None
     balance_ok = False
-    key_column_equal = not hopf.combo_to_h(
-        _combo_diff(col_right[columns[i1]], col_left[columns[i1]])
-    )
+    key = columns[i1]
+    key_column_equal = h_right[key] == h_left[key]
     if x_class is not None and y_class is not None:
-        balance = _combo_diff(col_right[columns[i1]], col_left[columns[i1]])
-        _combo_add(balance, x_class, Fraction(1))
-        _combo_add(balance, y_class, Fraction(-1))
-        balance_ok = not hopf.combo_to_h(balance)
+        x_h, y_h = hopf._h_cached(x_class), hopf._h_cached(y_class)
+        balance_ok = not _h_sum(
+            [(1, h_right[key]), (-1, h_left[key]), (d, x_h), (-d, y_h)]
+        )
         if modified:
-            delta_balance = _combo_diff(
-                col_right[columns[i2]], col_left[columns[i2]]
+            delta = columns[i2]
+            balance_ok = balance_ok and not _h_sum(
+                [(1, h_right[delta]), (-1, h_left[delta]), (-d, y_h)]
             )
-            _combo_add(delta_balance, y_class, Fraction(-1))
-            balance_ok = balance_ok and not hopf.combo_to_h(delta_balance)
 
     equal = schur.schur_equal(lhs_shape, rhs_shape)
 
@@ -635,8 +644,8 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
         parity=v,
         s_shape=s_shape,
         columns=tuple(columns),
-        column_sums_left=col_left,
-        column_sums_right=col_right,
+        column_h_left=h_left,
+        column_h_right=h_right,
         column_equal=column_equal,
         one_key_left_ok=one_key_left_ok,
         one_key_right_ok=one_key_right_ok,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -150,7 +151,6 @@ class TestSearch:
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify", "--beta", "3,1", "--gamma", "4,4,2,2/2,1", "--trace"),
         ("verify", "--beta", "0", "--gamma", "4,4,2,2/2,1"),
         ("expand", "2", "--vars", "-1"),
         ("search", "--max-size", "3", "--beta", "0"),
@@ -163,3 +163,53 @@ def test_library_error_exit_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "gamma, code",
+    [("4,4,2,2/2,1", 0), ("8,7,2/3,1", 1)],
+    ids=["landmark", "counterexample"],
+)
+def test_trace_outside_theorem_reports_without_trace(capsys, gamma, code):
+    # beta=3,1 is not a rectangle minus its corner: the report stands, the trace is skipped
+    argv = ("verify", "--beta", "3,1", "--gamma", gamma)
+    plain_code, plain_out, _ = run(capsys, *argv)
+    traced_code, traced_out, err = run(capsys, *argv, "--trace")
+    assert traced_out == plain_out
+    assert traced_code == plain_code == code
+    assert err.startswith("note: no proof trace: ") and err.count("\n") == 1
+    strict_code, _, _ = run(capsys, *argv, "--trace", "--strict")
+    assert strict_code == 3
+
+
+@pytest.mark.parametrize(
+    "extra, code, digest",
+    [
+        (
+            ("--beta", "2,1", "--gamma", "4,4,2,2/2,1"),
+            0,
+            "8991f16b0c2e4804313ed9d3e396b22713a9435f3087e2105daf466faefee304",
+        ),
+        (
+            ("--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--w", "1"),
+            0,
+            "dab7cea5cdf8fb1c7712dadd22d8e152a5ac83e482b15137803a4a4a1bdd2a4e",
+        ),
+        (
+            ("--beta", "1", "--gamma", "4,4,2,2/2,1"),
+            0,
+            "2e2d04e21ef2bf7b5fac8485e66d910ab16d60a9804990de9e590560e612f92f",
+        ),
+        (
+            ("--beta", "2,1", "--gamma", "8,7,2/3,1"),
+            1,
+            "931c46d86628062235ef07c335a1617a44aca1a08e90feddca71d3d8c1d3a405",
+        ),
+    ],
+    ids=["landmark-rr", "landmark-uu", "degenerate", "counterexample"],
+)
+def test_trace_json_golden_digest(capsys, extra, code, digest):
+    # the trace JSON is part of the output contract: pinned byte for byte
+    got_code, out, _ = run(capsys, "verify", *extra, "--trace", "--json")
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from schurhopf.schur import multiply, schur_expand
+from schurhopf import hopf, verifier
+from schurhopf.schur import connected_ribbons_of_size, multiply, schur_expand
 from schurhopf.shapes import parse_shape, ribbon_shape, skew_from_cells
 from schurhopf.verifier import (
     BadBetaError,
@@ -51,6 +53,47 @@ class TestRibbonBasis:
         for comp, row in zip(basis.ribbons, basis.matrix):
             expansion = schur_expand(ribbon_shape(comp)).as_dict()
             assert row == tuple(expansion.get(p, 0) for p in basis.partitions)
+
+
+def _fraction_solve(basis, coeffs):
+    """Reference: Gauss-Jordan in Fractions on the augmented transposed matrix."""
+    p = len(basis.partitions)
+    aug = [
+        [Fraction(basis.matrix[i][j]) for i in range(p)]
+        + [Fraction(coeffs.get(basis.partitions[j], 0))]
+        for j in range(p)
+    ]
+    for col in range(p):
+        piv = next(r for r in range(col, p) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(p):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return tuple(aug[r][p] for r in range(p))
+
+
+class TestIntegerSolver:
+    def test_matches_fraction_solve_on_every_small_basis(self):
+        # no seed, each single seed and each independent pair, degree <= 5
+        bases = []
+        for n in range(1, 6):
+            comps = connected_ribbons_of_size(n)
+            for seeds in [()] + [(c,) for c in comps] + list(combinations(comps, 2)):
+                try:
+                    bases.append(ribbon_basis(n, seeds))
+                except DependentRequiredError:
+                    pass
+        assert len(bases) == 182
+        for basis in bases:
+            assert basis.denominator > 0
+            for p in basis.partitions:
+                unit = {p: 1}
+                scaled = verifier._solve_in_basis(basis, unit)
+                assert all(isinstance(x, int) for x in scaled)
+                got = tuple(Fraction(x, basis.denominator) for x in scaled)
+                assert got == _fraction_solve(basis, unit), (basis.ribbons, p)
 
 
 class TestCoefficientVector:
@@ -212,6 +255,41 @@ class TestCorollary:
     def test_counterexample(self, counterexample_structure):
         report = verify_corollary((2, 1), counterexample_structure)
         assert not report.equal
+
+
+class TestIntegerTrace:
+    def test_each_column_sum_expanded_once(self, monkeypatch):
+        from schurhopf.wow import RR, detect_wow
+
+        st = [s for s in detect_wow(shp("4,4,2,2/2,1")) if s.orientation == RR][0]
+        real = hopf.combo_to_h
+        calls = []
+
+        def counting(combo):
+            calls.append(combo)
+            return real(combo)
+
+        monkeypatch.setattr(hopf, "combo_to_h", counting)
+        trace = proof_trace((2, 1), st)
+        assert len(calls) == 2 * len(trace.columns)
+        calls.clear()
+        trace.to_json()
+        assert calls == []
+
+    def test_denominator_above_one_renders_the_same(self, monkeypatch, positive_structure):
+        # every small basis has D == 1; double A and D to run the general path
+        expected = proof_trace((2, 1), positive_structure).to_json()
+        real = verifier._integer_inverse_transpose
+
+        def doubled(matrix):
+            solver, d = real(matrix)
+            return tuple(tuple(2 * x for x in row) for row in solver), 2 * d
+
+        monkeypatch.setattr(verifier, "_integer_inverse_transpose", doubled)
+        trace = proof_trace((2, 1), positive_structure)
+        assert trace.denominator == 2
+        assert trace.cocommutativity_assertions_hold() and trace.signed_column_ok
+        assert trace.to_json() == expected
 
 
 class TestProofTrace:
