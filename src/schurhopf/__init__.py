@@ -5,7 +5,6 @@ from .shapes import (
     Composition,
     Partition,
     SkewShape,
-    cells_of,
     connected_components,
     format_shape,
     is_ribbon,
@@ -19,6 +18,7 @@ from .shapes import (
 from .schur import (
     MonomialPoly,
     SymFunc,
+    clear_caches,
     connected_ribbons_of_size,
     monomial_expansion,
     multiply,

@@ -8,15 +8,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import schur, verifier, wow
 from .shapes import (
+    Partition,
     ShapeError,
     SkewShape,
     connected_shapes,
     format_shape,
     is_connected,
+    parse_partition,
     parse_shape,
     shape_sort_key,
 )
@@ -77,16 +80,21 @@ def _pick_structure(gamma: SkewShape, index: int | None):
     return structures[index], structures
 
 
+def _parse_beta(text: str) -> Partition:
+    """A partition given as text; a skew shape with a nonempty inner part is refused."""
+    outer, _, inner = text.partition("/")
+    if parse_partition(inner):
+        raise ShapeError(f"beta {text!r} must be a partition")
+    return parse_partition(outer)
+
+
 def cmd_verify(args) -> int:
-    beta = parse_shape(args.beta)
+    beta_parts = _parse_beta(args.beta)
     gamma = parse_shape(args.gamma)
-    if not beta.is_partition_shape():
-        raise ShapeError("beta must be a partition shape")
     if not is_connected(gamma):
         raise ShapeError("gamma must be connected")
     structure, structures = _pick_structure(gamma, args.w)
 
-    beta_parts = beta.outer
     try:
         if args.corollary:
             report = verifier.verify_corollary(beta_parts, structure, strict=args.strict)
@@ -156,12 +164,7 @@ def _search_one(gamma, beta_list):
 def cmd_search(args) -> int:
     if args.max_size < 1:
         raise ValueError("--max-size must be at least 1")
-    betas = []
-    for text in args.beta or ["2,1"]:
-        b = parse_shape(text)
-        if not b.is_partition_shape():
-            raise ShapeError(f"beta {text!r} must be a partition")
-        betas.append(b.outer)
+    betas = [_parse_beta(text) for text in args.beta or ["2,1"]]
 
     gammas = []
     for n in range(1, args.max_size + 1):
@@ -213,11 +216,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = {"expand": cmd_expand, "verify": cmd_verify, "search": cmd_search}
     try:
-        return command[args.command](args)
+        code = command[args.command](args)
+        sys.stdout.flush()  # a closed pipe then raises here, not at interpreter exit
+        return code
     except ValueError as exc:
         # library input errors all derive from ValueError; exit 1 means "differ"
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'the input is too large'}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader left: send the unflushed rest to devnull, as the signal
+        # docs advise, and exit like a process killed by SIGPIPE (128 + 13)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ mu <= eta <= lambda in Young's lattice.  The antipode is never needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import schur
 from .shapes import (
@@ -16,15 +17,17 @@ from .shapes import (
     SkewShape,
     connected_components,
     direct_sum,
+    format_shape,
     is_connected_cells,
     is_ribbon,
     ribbon_composition_of,
+    rim_ribbon,
     shape_sort_key,
     skew_from_cells,
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ShapeClass:
     """Multiset of connected nonempty shapes; the empty multiset is the unit."""
 
@@ -52,20 +55,7 @@ class ShapeClass:
     def __mul__(self, other: "ShapeClass") -> "ShapeClass":
         return ShapeClass(self.components + other.components)
 
-    def __eq__(self, other):
-        if not isinstance(other, ShapeClass):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def _key(self):
-        return tuple(c.cells for c in self.components)
-
     def __repr__(self):
-        from .shapes import format_shape
-
         if not self.components:
             return "ShapeClass(1)"
         return "ShapeClass({%s})" % ", ".join(format_shape(c) for c in self.components)
@@ -83,17 +73,19 @@ def class_of_cells(cells) -> ShapeClass:
     return shape_class(skew_from_cells(cells))
 
 
+@schur.memoize
 def class_schur(cls: ShapeClass) -> schur.SymFunc:
     """Image of a class in symmetric functions."""
     return schur.schur_expand(direct_sum(cls.components))
 
 
-def class_h_expansion(cls: ShapeClass) -> dict:
-    """h-basis image of a class (product over components)."""
+@schur.memoize
+def class_h_expansion(cls: ShapeClass) -> MappingProxyType:
+    """Read-only h-basis image of a class (product over components)."""
     out = {(): 1}
     for comp in cls.components:
         out = schur.h_product(out, schur.h_expansion(comp))
-    return out
+    return MappingProxyType(out)
 
 
 CoproductSum = dict  # (ShapeClass, ShapeClass) -> int
@@ -102,14 +94,13 @@ CoproductSum = dict  # (ShapeClass, ShapeClass) -> int
 def _interval_splits(shape: SkewShape, left_size: int | None = None, emit: str = "both"):
     """Yield cell splits for every eta with mu <= eta <= lambda.
 
-    Cell positions are given in the canonical frame of the input shape.
-    When left_size is given, only splits whose left part has that many
+    Cell positions are given in the frame of the input shape.  When
+    left_size is given, only splits whose left part has that many
     cells are produced.  emit selects (left, right) pairs or just one
     side's cell set.
     """
-    canon = skew_from_cells(shape.cells)
-    lam = canon.outer
-    mu = canon.inner + (0,) * (len(lam) - len(canon.inner))
+    lam = shape.outer
+    mu = shape.padded_inner
     ell = len(lam)
     total = shape.size
     if left_size is not None and not 0 <= left_size <= total:
@@ -232,12 +223,9 @@ def removable_ribbons(
         return []
     if not is_connected_cells(shape.cells):
         return _removable_ribbons_by_slices(shape, n, side)
-    from .shapes import rim_ribbon
-
-    canon = skew_from_cells(shape.cells)
-    lam = canon.outer
-    mu = canon.inner + (0,) * (len(lam) - len(canon.inner))
-    rim = rim_ribbon(canon, "NW" if side == "left" else "SE")
+    lam = shape.outer
+    mu = shape.padded_inner
+    rim = rim_ribbon(shape, "NW" if side == "left" else "SE")
     out = []
     for start in range(len(rim) - n + 1):
         window = rim[start : start + n]
@@ -325,28 +313,6 @@ def is_shape_level_cocommutative(shape: SkewShape) -> bool:
     return all(terms.get((b, a), 0) == m for (a, b), m in terms.items())
 
 
-_class_schur_cache: dict[ShapeClass, schur.SymFunc] = {}
-
-
-def _schur_cached(cls: ShapeClass) -> schur.SymFunc:
-    f = _class_schur_cache.get(cls)
-    if f is None:
-        f = class_schur(cls)
-        _class_schur_cache[cls] = f
-    return f
-
-
-_class_h_cache: dict[ShapeClass, dict] = {}
-
-
-def _h_cached(cls: ShapeClass) -> dict:
-    f = _class_h_cache.get(cls)
-    if f is None:
-        f = class_h_expansion(cls)
-        _class_h_cache[cls] = f
-    return f
-
-
 def combo_to_h(combo: dict) -> dict:
     """Nonzero h-basis coefficients of a class combination's image.
 
@@ -356,7 +322,7 @@ def combo_to_h(combo: dict) -> dict:
     """
     total: dict = {}
     for cls, m in combo.items():
-        for p, c in _h_cached(cls).items():
+        for p, c in class_h_expansion(cls).items():
             total[p] = total.get(p, 0) + m * c
     return {p: v for p, v in total.items() if v}
 
@@ -385,8 +351,8 @@ def image_cocommutativity(shape: SkewShape, slice_size: int | None = None) -> bo
     if slice_size is None:
         acc: dict = {}
         for (a, b), m in coproduct(shape).items():
-            fa = _schur_cached(a)
-            fb = _schur_cached(b)
+            fa = class_schur(a)
+            fb = class_schur(b)
             for pa, ca in fa.coeffs:
                 for pb, cb in fb.coeffs:
                     key = (pa, pb)
@@ -402,7 +368,7 @@ def image_cocommutativity(shape: SkewShape, slice_size: int | None = None) -> bo
         for left, right in slice_terms:
             small = class_of_cells(left if left_small else right)
             big = class_of_cells(right if left_small else left)
-            for p, c in _schur_cached(small).coeffs:
+            for p, c in class_schur(small).coeffs:
                 buckets.setdefault(p, {})
                 buckets[p][big] = buckets[p].get(big, 0) + c
         return buckets
@@ -420,8 +386,6 @@ def image_cocommutativity(shape: SkewShape, slice_size: int | None = None) -> bo
 
 
 def coproduct_to_json(terms: CoproductSum):
-    from .shapes import format_shape
-
     rows = []
     for (a, b), m in terms.items():
         rows.append(

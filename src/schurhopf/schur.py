@@ -8,6 +8,8 @@ fillings directly and never calls the Littlewood-Richardson machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .shapes import (
     Composition,
@@ -16,9 +18,24 @@ from .shapes import (
     check_partition,
     direct_sum,
     ribbon_shape,
-    skew_from_cells,
     transpose,
 )
+
+CACHE_SIZE = 1 << 14  # entries per expansion cache
+_CACHES = []
+
+
+def memoize(fn):
+    """Bounded LRU cache of CACHE_SIZE entries that clear_caches empties."""
+    cached = lru_cache(maxsize=CACHE_SIZE)(fn)
+    _CACHES.append(cached)
+    return cached
+
+
+def clear_caches() -> None:
+    """Empty every expansion cache, here and in hopf."""
+    for cached in _CACHES:
+        cached.cache_clear()
 
 
 class SymFuncError(ValueError):
@@ -156,16 +173,6 @@ def monomial_expansion(shape: SkewShape, k: int) -> MonomialPoly:
     return MonomialPoly.from_dict(k, counts)
 
 
-def _row_spans(shape: SkewShape) -> list[tuple[int, int]]:
-    """Column interval [lo, hi] of each row of the canonical cell set."""
-    canon = skew_from_cells(shape.cells)
-    spans = []
-    for i, lam in enumerate(canon.outer):
-        mu = canon.inner[i] if i < len(canon.inner) else 0
-        spans.append((mu, lam - 1) if lam > mu else None)
-    return spans
-
-
 def _lattice_fillings(shape: SkewShape):
     """Yield contents of Littlewood-Richardson fillings of a connected-or-not shape.
 
@@ -173,16 +180,12 @@ def _lattice_fillings(shape: SkewShape):
     the ballot condition is enforced at every step, so entries in row i
     never exceed i + 1.
     """
-    spans = _row_spans(shape)
-    cells = []
-    for r, span in enumerate(spans):
-        if span is None:
-            continue
-        lo, hi = span
-        for c in range(hi, lo - 1, -1):
-            cells.append((r, c))
-    n = shape.size
-    maxe = len(spans)
+    cells = [
+        (r, c)
+        for r, (lam, mu) in enumerate(zip(shape.outer, shape.padded_inner))
+        for c in range(lam - 1, mu - 1, -1)
+    ]
+    maxe = len(shape.outer)
     counts = [0] * (maxe + 2)
     values: dict[tuple[int, int], int] = {}
 
@@ -214,31 +217,20 @@ def _lattice_fillings(shape: SkewShape):
             counts[v] -= 1
         values.pop((r, c), None)
 
-    if n == 0:
-        yield ()
-        return
     yield from rec(0)
 
 
-_expand_cache: dict[frozenset, SymFunc] = {}
-
-
+@memoize
 def schur_expand(shape: SkewShape) -> SymFunc:
     """Expansion of the skew Schur function in the Schur basis.
 
     The coefficient of s_nu counts the Littlewood-Richardson fillings of
     the shape with content nu; disconnected shapes need no special case.
     """
-    key = shape.cells
-    cached = _expand_cache.get(key)
-    if cached is not None:
-        return cached
     coeffs: dict[Partition, int] = {}
     for content in _lattice_fillings(shape):
         coeffs[content] = coeffs.get(content, 0) + 1
-    result = SymFunc.from_dict(shape.size, coeffs)
-    _expand_cache[key] = result
-    return result
+    return SymFunc.from_dict(shape.size, coeffs)
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -306,42 +298,26 @@ def schur_equal(a: SkewShape, b: SkewShape) -> bool:
     """
     if a.size != b.size:
         return False
-    if not a.cells:
+    if not a.outer:
         return True
-
-    def rows_cols(shape):
-        # canonical cells start at row and column zero
-        cells = shape.cells
-        return max(r for r, _ in cells) + 1, max(c for _, c in cells) + 1
-
-    ra, ca = rows_cols(a)
-    rb, cb = rows_cols(b)
-    if max(ra, rb) > max(ca, cb):
+    if max(len(a.outer), len(b.outer)) > max(a.outer[0], b.outer[0]):
         a, b = transpose(a), transpose(b)
     return h_expansion(a) == h_expansion(b)
 
 
-_h_cache: dict[frozenset, dict[Partition, int]] = {}
-
-
-def h_expansion(shape: SkewShape) -> dict[Partition, int]:
+@memoize
+def h_expansion(shape: SkewShape) -> MappingProxyType:
     """Jacobi-Trudi determinant as a polynomial in the h-basis.
 
     Keys are partitions standing for products of complete homogeneous
-    functions; values are integer coefficients.
+    functions; values are integer coefficients.  The mapping is read-only
+    because every caller shares the cached one.
     """
-    key = shape.cells
-    cached = _h_cache.get(key)
-    if cached is not None:
-        return dict(cached)
-    canon = skew_from_cells(shape.cells)
-    lam = canon.outer
-    mu = canon.inner + (0,) * (len(lam) - len(canon.inner))
+    lam = shape.outer
+    mu = shape.padded_inner
     ell = len(lam)
     if ell == 0:
-        out = {(): 1}
-        _h_cache[key] = dict(out)
-        return out
+        return MappingProxyType({(): 1})
     # det(h_{lam_i - mu_j - i + j}): the entry in row i, column j is nonzero
     # exactly when j >= t_i, and the thresholds t_i are non-decreasing, so
     # subdeterminants memoize on (row, free columns at or past the threshold)
@@ -379,9 +355,7 @@ def h_expansion(shape: SkewShape) -> dict[Partition, int]:
         memo[state] = acc
         return acc
 
-    out = subdet(0, tuple(range(ell)))
-    _h_cache[key] = dict(out)
-    return out
+    return MappingProxyType(subdet(0, tuple(range(ell))))
 
 
 def h_product(f: dict[Partition, int], g: dict[Partition, int]) -> dict[Partition, int]:
@@ -394,7 +368,9 @@ def h_product(f: dict[Partition, int], g: dict[Partition, int]) -> dict[Partitio
     return {p: c for p, c in out.items() if c != 0}
 
 
-_oracle_cache: dict[tuple[Partition, int], MonomialPoly] = {}
+@memoize
+def _straight_monomials(p: Partition, k: int) -> MonomialPoly:
+    return monomial_expansion(SkewShape(p), k)
 
 
 def sym_to_monomials(f: SymFunc, k: int) -> MonomialPoly:
@@ -403,12 +379,8 @@ def sym_to_monomials(f: SymFunc, k: int) -> MonomialPoly:
     Each straight-shape Schur function is expanded by monomial_expansion,
     so this stays on the oracle side of the dual-route check.
     """
-    total = MonomialPoly.from_dict(k, {})
+    total: dict[tuple[int, ...], int] = {}
     for p, c in f.coeffs:
-        key = (p, k)
-        poly = _oracle_cache.get(key)
-        if poly is None:
-            poly = monomial_expansion(SkewShape(p, ()), k)
-            _oracle_cache[key] = poly
-        total = total + poly.scale(c)
-    return total
+        for e, m in _straight_monomials(p, k).terms:
+            total[e] = total.get(e, 0) + c * m
+    return MonomialPoly.from_dict(k, total)

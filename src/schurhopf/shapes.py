@@ -1,9 +1,10 @@
 """Cell-level geometry of partitions and skew shapes.
 
-Shapes are identified up to translation: every shape exposes a canonical
-cell set whose minimal row and column are both zero, and two shapes are
-equal exactly when those cell sets coincide.  Rows grow downward and
-columns grow rightward, so "northeast" means up and to the right.
+Shapes are identified up to translation: a `SkewShape` always holds the
+minimal lambda/mu of its translation class, whose cells start at row and
+column zero, so two shapes are equal exactly when they are translates of
+each other.  Rows grow downward and columns grow rightward, so
+"northeast" means up and to the right.
 """
 
 from __future__ import annotations
@@ -101,9 +102,38 @@ def canonicalize_cells(cells) -> frozenset[Cell]:
     return frozenset((r - dr, c - dc) for r, c in cells)
 
 
-@dataclass(frozen=True, eq=False)
+def _minimal_pair(outer: Partition, inner: Partition) -> tuple[Partition, Partition]:
+    """The pair skew_from_cells recovers from the cells of a valid lambda/mu.
+
+    Empty rows above the top cell and below the bottom cell go, the bottom
+    row moves to column zero, and each empty row in between becomes as
+    long as the row below it.
+    """
+    mu = inner + (0,) * (len(outer) - len(inner))
+    rows = [i for i, (lam, m) in enumerate(zip(outer, mu)) if lam > m]
+    if not rows:
+        return (), ()
+    shift = mu[rows[-1]]
+    lams, mus = [], []
+    below = 0
+    for i in range(rows[-1], rows[0] - 1, -1):
+        if outer[i] > mu[i]:
+            below = outer[i] - shift
+            mus.append(mu[i] - shift)
+        else:
+            mus.append(below)
+        lams.append(below)
+    return tuple(reversed(lams)), check_partition(reversed(mus))
+
+
+@dataclass(frozen=True)
 class SkewShape:
-    """A skew shape lambda/mu; equality is translation-invariant cell equality."""
+    """A skew shape lambda/mu, held as the minimal pair of its translation class.
+
+    The constructor replaces any valid pair by the one skew_from_cells
+    recovers from its cells (_minimal_pair), so equality and hashing
+    compare translation classes.
+    """
 
     outer: Partition
     inner: Partition = ()
@@ -116,35 +146,26 @@ class SkewShape:
         for i, m in enumerate(inner):
             if m > outer[i]:
                 raise ShapeError(f"inner exceeds outer in row {i}: {inner} vs {outer}")
+        outer, inner = _minimal_pair(outer, inner)
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
 
     @cached_property
     def cells(self) -> frozenset[Cell]:
-        raw = set()
-        for i, lam in enumerate(self.outer):
-            mu = self.inner[i] if i < len(self.inner) else 0
-            for j in range(mu, lam):
-                raw.add((i, j))
-        return canonicalize_cells(raw)
+        rows = enumerate(zip(self.outer, self.padded_inner))
+        return frozenset((i, j) for i, (lam, m) in rows for j in range(m, lam))
+
+    @property
+    def padded_inner(self) -> Partition:
+        """inner with zeros appended up to the length of outer."""
+        return self.inner + (0,) * (len(self.outer) - len(self.inner))
 
     @property
     def size(self) -> int:
         return sum(self.outer) - sum(self.inner)
 
-    def __eq__(self, other):
-        if not isinstance(other, SkewShape):
-            return NotImplemented
-        return self.cells == other.cells
-
-    def __hash__(self):
-        return hash(self.cells)
-
     def __repr__(self):
         return f"SkewShape({format_shape(self)!r})"
-
-    def is_partition_shape(self) -> bool:
-        return not self.inner or all(m == 0 for m in self.inner)
 
 
 EMPTY_SHAPE = SkewShape((), ())
@@ -153,11 +174,6 @@ EMPTY_SHAPE = SkewShape((), ())
 def shape_sort_key(shape: SkewShape):
     """Deterministic total order on shapes: by size, then by cell layout."""
     return (shape.size, tuple(sorted(shape.cells)))
-
-
-def cells_of(shape: SkewShape) -> frozenset[Cell]:
-    """Canonical cell set of a shape."""
-    return shape.cells
 
 
 def skew_from_cells(cells) -> SkewShape:
@@ -208,12 +224,9 @@ def skew_from_cells(cells) -> SkewShape:
 
 def rotate180(shape: SkewShape) -> SkewShape:
     """Rotate a shape half a turn; an involution on shapes."""
-    cells = shape.cells
-    if not cells:
-        return EMPTY_SHAPE
-    mr = max(r for r, _ in cells)
-    mc = max(c for _, c in cells)
-    return skew_from_cells((mr - r, mc - c) for r, c in cells)
+    width = shape.outer[0] if shape.outer else 0
+    outer = tuple(width - m for m in reversed(shape.padded_inner))
+    return SkewShape(outer, tuple(width - lam for lam in reversed(shape.outer)))
 
 
 def transpose(shape: SkewShape) -> SkewShape:
@@ -276,9 +289,7 @@ def ribbon_composition_of(shape: SkewShape) -> Composition:
     """Row lengths of a connected ribbon, top row first."""
     if shape.size == 0 or not is_connected(shape) or not is_ribbon(shape):
         raise NotConnectedRibbonError(f"not a connected ribbon: {shape!r}")
-    cells = shape.cells
-    nrows = max(r for r, _ in cells) + 1
-    return tuple(sum(1 for rr, _ in cells if rr == r) for r in range(nrows))
+    return tuple(lam - m for lam, m in zip(shape.outer, shape.padded_inner))
 
 
 def ribbon_shape(comp: Composition) -> SkewShape:
@@ -383,32 +394,33 @@ def direct_sum(shapes) -> SkewShape:
     the last, so the skew Schur function of the result is the product of
     the pieces' skew Schur functions.
     """
-    pieces = [s.cells for s in shapes if s.cells]
-    widths = [max(c for _, c in p) + 1 for p in pieces]
-    cells: set[Cell] = set()
-    row, col = 0, sum(widths)
-    for p, width in zip(pieces, widths):
-        col -= width
-        cells |= translate_cells(p, (row, col))
-        row += max(r for r, _ in p) + 1
-    return skew_from_cells(cells)
+    pieces = [s for s in shapes if s.outer]
+    col = sum(s.outer[0] for s in pieces)
+    outer: list[int] = []
+    inner: list[int] = []
+    for s in pieces:
+        col -= s.outer[0]
+        outer += [lam + col for lam in s.outer]
+        inner += [m + col for m in s.padded_inner]
+    return SkewShape(tuple(outer), tuple(inner))
+
+
+def parse_partition(text: str) -> Partition:
+    """Parse "3,1", or "0" or "" for the empty partition."""
+    text = text.strip()
+    if text == "0" or text == "":
+        return ()
+    try:
+        nums = tuple(int(tok.strip()) for tok in text.split(","))
+    except ValueError as exc:
+        raise ShapeError(f"cannot parse partition {text!r}") from exc
+    if any(n <= 0 for n in nums):
+        raise ShapeError(f"parts must be positive in {text!r}")
+    return check_partition(nums)
 
 
 def parse_shape(text: str) -> SkewShape:
     """Parse "4,4,2,2/2,1", "3,1" or "0" (the empty partition)."""
-
-    def parse_partition(part: str) -> Partition:
-        part = part.strip()
-        if part == "0" or part == "":
-            return ()
-        try:
-            nums = tuple(int(tok.strip()) for tok in part.split(","))
-        except ValueError as exc:
-            raise ShapeError(f"cannot parse partition {part!r}") from exc
-        if any(n <= 0 for n in nums):
-            raise ShapeError(f"parts must be positive in {part!r}")
-        return check_partition(nums)
-
     text = text.strip()
     if "/" in text:
         outer_text, inner_text = text.split("/", 1)
@@ -417,13 +429,12 @@ def parse_shape(text: str) -> SkewShape:
 
 
 def format_shape(shape: SkewShape) -> str:
-    """Inverse of parse_shape, on the minimal canonical representative."""
-    canon = skew_from_cells(shape.cells)
-    if not canon.outer:
+    """Inverse of parse_shape."""
+    if not shape.outer:
         return "0"
-    outer = ",".join(str(p) for p in canon.outer)
-    if canon.inner:
-        return f"{outer}/{','.join(str(p) for p in canon.inner)}"
+    outer = ",".join(str(p) for p in shape.outer)
+    if shape.inner:
+        return f"{outer}/{','.join(str(p) for p in shape.inner)}"
     return outer
 
 
@@ -469,8 +480,8 @@ def box_bounded_shapes(max_cells: int, box: int):
     for lam in partitions_in_box(box, box):
         for mu in _subpartitions(lam, max_deficit=max_cells):
             shape = SkewShape(lam, mu)
-            if shape.cells not in seen:
-                seen.add(shape.cells)
+            if shape not in seen:
+                seen.add(shape)
                 yield shape
 
 

@@ -19,6 +19,7 @@ from .shapes import (
     Partition,
     SkewShape,
     format_shape,
+    is_connected,
     is_connected_cells,
     is_ribbon,
     partitions_of,
@@ -173,8 +174,6 @@ def parity_vector(basis: RibbonBasis) -> tuple[int, ...]:
 
 def check_signed_sum(shape: SkewShape, basis: RibbonBasis) -> bool:
     """v . coefficient_vector(shape) == 0 for non-connected-ribbon shapes."""
-    from .shapes import is_connected
-
     if shape.size > 0 and is_connected(shape) and is_ribbon(shape):
         raise IsConnectedRibbonError("shape is a connected ribbon")
     vec = coefficient_vector(shape, basis)
@@ -569,7 +568,7 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
         columns[i2] = ("delta", alpha2, alpha1)
 
     def vector_for(cls) -> list[int]:
-        coeffs = hopf._schur_cached(cls).as_dict()
+        coeffs = hopf.class_schur(cls).as_dict()
         vec = list(_solve_in_basis(basis, coeffs))
         if modified:
             vec[i1] += vec[i2]
@@ -620,7 +619,7 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     key = columns[i1]
     key_column_equal = h_right[key] == h_left[key]
     if x_class is not None and y_class is not None:
-        x_h, y_h = hopf._h_cached(x_class), hopf._h_cached(y_class)
+        x_h, y_h = hopf.class_h_expansion(x_class), hopf.class_h_expansion(y_class)
         balance_ok = not _h_sum(
             [(1, h_right[key]), (-1, h_left[key]), (d, x_h), (-d, y_h)]
         )

@@ -21,9 +21,13 @@ from .shapes import (
     NotSkewError,
     SkewShape,
     canonicalize_cells,
+    connected_shapes,
     diagonal,
+    format_shape,
     is_connected,
     is_connected_cells,
+    lies_in_bottom,
+    lies_in_top,
     ne_box,
     neighbors,
     rim_ribbon,
@@ -57,7 +61,7 @@ def _is_valid_connected_piece(cells) -> bool:
     return is_connected_cells(cells) and _try_shape(cells) is not None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WowStructure:
     """A structure on gamma; construction checks the axioms (StructureError)."""
 
@@ -134,8 +138,6 @@ class WowStructure:
             raise StructureError("O / W adjacency fails for this orientation")
 
     def describe(self) -> str:
-        from .shapes import format_shape
-
         arrow = "->" if self.orientation == RR else "^"
         ur, uc = min(self.upper_w)
         lr, lc = min(self.lower_w)
@@ -146,8 +148,6 @@ class WowStructure:
         )
 
     def to_json(self):
-        from .shapes import format_shape
-
         return {
             "gamma": format_shape(self.gamma),
             "orientation": self.orientation,
@@ -156,17 +156,6 @@ class WowStructure:
             "lower_w": sorted(self.lower_w),
             "o_cells": sorted(self.o_cells),
         }
-
-    def __eq__(self, other):
-        if not isinstance(other, WowStructure):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def _key(self):
-        return (self.gamma.cells, self.orientation, self.upper_w, self.lower_w)
 
     def __repr__(self):
         return f"WowStructure({self.describe()!r})"
@@ -230,20 +219,18 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
     max_w = (gamma.size - 1) // 2
 
     def placement_pool(anchor):
-        pool: dict[frozenset, set[frozenset]] = {}
+        pool: dict[SkewShape, set[frozenset]] = {}
         for subset in _connected_subsets(cells, anchor, max_w):
-            if _try_shape(subset) is None:
-                continue
-            if not _is_valid_connected_piece(cells - subset):
-                continue
-            pool.setdefault(canonicalize_cells(subset), set()).add(subset)
+            shape = _try_shape(subset)
+            if shape is not None and _is_valid_connected_piece(cells - subset):
+                pool.setdefault(shape, set()).add(subset)
         return pool
 
     tops = placement_pool(ne_box(cells))
     bottoms = placement_pool(sw_box(cells))
 
     candidates = []
-    for key in sorted(tops.keys() & bottoms.keys(), key=sorted):
+    for key in sorted(tops.keys() & bottoms.keys(), key=lambda w: sorted(w.cells)):
         for t in sorted(tops[key], key=sorted):
             for b in sorted(bottoms[key], key=sorted):
                 if min(diagonal(c) for c in b) - max(diagonal(c) for c in t) < 2:
@@ -303,8 +290,6 @@ def amalgamate(
     frame); bottom_placement a copy in the bottom of a2.  The overlap of
     the two cell sets must be exactly the identified W.
     """
-    from .shapes import lies_in_bottom, lies_in_top
-
     if top_placement not in lies_in_top(w, a1):
         raise ValueError("w does not lie in the top of a1 at the given placement")
     if bottom_placement not in lies_in_bottom(w, a2):
@@ -520,8 +505,6 @@ def rotate_structure(structure: WowStructure) -> WowStructure:
 
 def wow_catalog(max_size: int):
     """All structures on connected gammas with at most max_size cells."""
-    from .shapes import connected_shapes
-
     out = []
     for n in range(1, max_size + 1):
         for gamma in sorted(connected_shapes(n), key=shape_sort_key):

@@ -1,8 +1,14 @@
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import schurhopf
+from schurhopf import verifier
 from schurhopf.cli import main
 
 
@@ -154,6 +160,9 @@ class TestSearch:
         ("verify", "--beta", "0", "--gamma", "4,4,2,2/2,1"),
         ("expand", "2", "--vars", "-1"),
         ("search", "--max-size", "3", "--beta", "0"),
+        # 3,3/1,1 is a translate of the partition 2,2, but beta must be given as one
+        ("verify", "--beta", "3,3/1,1", "--gamma", "4,4,2,2/2,1"),
+        ("search", "--max-size", "3", "--beta", "3,3/1,1"),
     ],
 )
 def test_library_error_exit_2(capsys, argv):
@@ -213,3 +222,55 @@ def test_trace_json_golden_digest(capsys, extra, code, digest):
     got_code, out, _ = run(capsys, "verify", *extra, "--trace", "--json")
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_out_of_memory_exit_2(capsys, monkeypatch):
+    # running out of memory is a refusal (2), never a traceback that reads as "differ" (1)
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(verifier, "proof_trace", exhausted)
+    code, out, err = run(capsys, "verify", "--beta", "1", "--gamma", "4,4,2,2/2,1", "--trace")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away; fileno() is a scratch file."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exit_141(capsys, monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "w") as scratch:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(scratch.fileno()))
+        code = main(["expand", "2,1"])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_subprocess_exit_141():
+    # the reader closes the pipe before the CLI writes: no traceback, exit 128 + SIGPIPE
+    src = os.path.dirname(os.path.dirname(schurhopf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schurhopf.cli", "search", "--max-size", "4", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -1,8 +1,10 @@
 import pytest
 
+from schurhopf import hopf, schur
 from schurhopf.schur import (
     MonomialPoly,
     SymFunc,
+    clear_caches,
     connected_ribbons_of_size,
     h_expansion,
     h_product,
@@ -158,6 +160,13 @@ class TestHExpansion:
             via_lr = {k: v for k, v in via_lr.items() if v}
             assert h_expansion(shape) == via_lr
 
+    def test_read_only(self):
+        # every caller shares the cached mapping, so nobody may change it
+        image = h_expansion(shp("2,1"))
+        with pytest.raises(TypeError):
+            image[(3,)] = 0
+        assert h_expansion(shp("2,1")) == {(2, 1): 1, (3,): -1}
+
     def test_h_product(self):
         a = h_expansion(shp("1,1"))
         b = h_expansion(shp("1"))
@@ -227,3 +236,25 @@ class TestRendering:
         b = MonomialPoly.from_dict(2, {(1, 0): 2, (0, 1): 1})
         assert (a + a) == a.scale(2)
         assert (a + b).as_dict() == {(1, 0): 3, (0, 1): 1}
+
+
+class TestCaches:
+    CACHES = (
+        schur.schur_expand,
+        schur.h_expansion,
+        schur._straight_monomials,
+        hopf.class_schur,
+        hopf.class_h_expansion,
+    )
+
+    def test_bounded_and_cleared(self):
+        shape = shp("3,2/1")
+        sym_to_monomials(schur_expand(shape), 2)
+        hopf.combo_to_h({hopf.shape_class(shape): 1})
+        hopf.class_schur(hopf.shape_class(shape))
+        assert all(cache.cache_info().currsize for cache in self.CACHES)
+        clear_caches()
+        for cache in self.CACHES:
+            info = cache.cache_info()
+            assert info.currsize == 0
+            assert info.maxsize is not None and 0 < info.maxsize <= schur.CACHE_SIZE

@@ -8,7 +8,6 @@ from schurhopf.shapes import (
     ShapeError,
     SkewShape,
     box_bounded_shapes,
-    cells_of,
     connected_components,
     connected_shapes,
     diagonal,
@@ -38,18 +37,37 @@ def shp(text):
 
 class TestCellsOf:
     def test_partition(self):
-        assert cells_of(shp("2,1")) == {(0, 0), (0, 1), (1, 0)}
+        assert shp("2,1").cells == {(0, 0), (0, 1), (1, 0)}
 
     def test_skew(self):
-        assert cells_of(shp("2,2/1")) == {(0, 1), (1, 0), (1, 1)}
+        assert shp("2,2/1").cells == {(0, 1), (1, 0), (1, 1)}
 
     def test_empty_skew(self):
-        assert cells_of(SkewShape((1,), (1,))) == frozenset()
+        assert SkewShape((1,), (1,)).cells == frozenset()
 
     def test_size_matches_cell_count(self):
         for lam in partitions_of(6):
             for shape in [SkewShape(lam), SkewShape(lam, lam[1:])]:
                 assert shape.size == len(shape.cells)
+
+
+class TestMinimalRepresentative:
+    def test_translate_equals_minimal_pair(self):
+        shape = SkewShape((3, 3), (1, 1))
+        assert shape == SkewShape((2, 2))
+        assert hash(shape) == hash(SkewShape((2, 2)))
+        assert shape.outer == (2, 2) and shape.inner == ()
+
+    def test_empty_pair_is_empty_shape(self):
+        assert SkewShape((1,), (1,)) == EMPTY_SHAPE
+        assert SkewShape((1,), (1,)).outer == ()
+
+    def test_empty_rows_and_offset_removed(self):
+        # the empty top row goes, the empty interior row takes the length of
+        # the row below, and the bottom row moves to column zero
+        shape = SkewShape((6, 6, 4, 3), (6, 5, 4, 1))
+        assert (shape.outer, shape.inner) == ((5, 2, 2), (4, 2))
+        assert shape == skew_from_cells({(0, 4), (2, 0), (2, 1)})
 
 
 class TestSkewFromCells:
