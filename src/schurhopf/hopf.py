@@ -16,9 +16,10 @@ from .shapes import (
     Composition,
     SkewShape,
     connected_components,
+    connected_skew,
     direct_sum,
     format_shape,
-    is_connected_cells,
+    is_connected,
     is_ribbon,
     ribbon_composition_of,
     rim_ribbon,
@@ -91,13 +92,12 @@ def class_h_expansion(cls: ShapeClass) -> MappingProxyType:
 CoproductSum = dict  # (ShapeClass, ShapeClass) -> int
 
 
-def _interval_splits(shape: SkewShape, left_size: int | None = None, emit: str = "both"):
-    """Yield cell splits for every eta with mu <= eta <= lambda.
+def _interval_splits(shape: SkewShape, left_size: int | None = None):
+    """Yield (left, right) cell splits for every eta with mu <= eta <= lambda.
 
     Cell positions are given in the frame of the input shape.  When
     left_size is given, only splits whose left part has that many
-    cells are produced.  emit selects (left, right) pairs or just one
-    side's cell set.
+    cells are produced.
     """
     lam = shape.outer
     mu = shape.padded_inner
@@ -113,26 +113,14 @@ def _interval_splits(shape: SkewShape, left_size: int | None = None, emit: str =
         suffix[i] = suffix[i + 1] + caps[i]
 
     eta = [0] * ell
-    want_left = emit in ("both", "left")
-    want_right = emit in ("both", "right")
 
     def rec(i: int, upper_bound: int, taken: int):
         if i == ell:
             if left_size is None or taken == left_size:
-                left = (
-                    frozenset((r, c) for r in range(ell) for c in range(mu[r], eta[r]))
-                    if want_left
-                    else None
+                yield (
+                    frozenset((r, c) for r in range(ell) for c in range(mu[r], eta[r])),
+                    frozenset((r, c) for r in range(ell) for c in range(eta[r], lam[r])),
                 )
-                right = (
-                    frozenset((r, c) for r in range(ell) for c in range(eta[r], lam[r]))
-                    if want_right
-                    else None
-                )
-                if emit == "both":
-                    yield left, right
-                else:
-                    yield left if emit == "left" else right
             return
         lo, hi = mu[i], min(lam[i], upper_bound)
         for value in range(lo, hi + 1):
@@ -221,7 +209,7 @@ def removable_ribbons(
         raise ValueError("ribbon size must be positive")
     if shape.size < n:
         return []
-    if not is_connected_cells(shape.cells):
+    if not is_connected(shape):
         return _removable_ribbons_by_slices(shape, n, side)
     lam = shape.outer
     mu = shape.padded_inner
@@ -261,17 +249,14 @@ def removable_ribbons(
 def _removable_ribbons_by_slices(shape: SkewShape, n: int, side: str):
     """Reference implementation scanning every interval split."""
     if side == "left":
-        picked = _interval_splits(shape, n, emit="left")
+        picked = (left for left, _ in _interval_splits(shape, n))
     else:
-        picked = _interval_splits(shape, shape.size - n, emit="right")
+        picked = (right for _, right in _interval_splits(shape, shape.size - n))
     out = []
     for cells in picked:
-        if len(cells) != n or not is_connected_cells(cells):
-            continue
-        piece = skew_from_cells(cells)
-        if not is_ribbon(piece):
-            continue
-        out.append((ribbon_composition_of(piece), cells))
+        piece = connected_skew(cells)
+        if piece is not None and is_ribbon(piece):
+            out.append((ribbon_composition_of(piece), cells))
     out.sort(key=lambda item: tuple(sorted(item[1])))
     return out
 

@@ -83,11 +83,7 @@ def partitions_in_box(rows: int, cols: int):
             for rest in rec(row + 1, part):
                 yield (part,) + rest
 
-    seen = set()
-    for lam in rec(0, cols):
-        if lam not in seen:
-            seen.add(lam)
-            yield lam
+    yield from rec(0, cols)
 
 
 def canonicalize_cells(cells) -> frozenset[Cell]:
@@ -179,47 +175,42 @@ def shape_sort_key(shape: SkewShape):
 def skew_from_cells(cells) -> SkewShape:
     """Recover the minimal lambda/mu realizing a cell set, or raise NotSkewError.
 
-    Each nonempty row must be a contiguous column interval; the left and
-    right endpoints must weakly decrease going down; and across a run of
-    empty rows the upper row must end strictly right of where the lower
-    row starts (l_i - 1 >= r_k).  The inner partition is chosen as small
-    as monotonicity allows, which makes the representative unique.
+    Each nonempty row r must be a contiguous column interval, read as
+    [mu_r, lambda_r); an empty row takes the length of the row below.  The
+    cells form a skew shape exactly when the lambda and mu read this way
+    are partitions, which the SkewShape constructor checks.
     """
     cells = canonicalize_cells(cells)
     if not cells:
         return EMPTY_SHAPE
-    nrows = max(r for r, _ in cells) + 1
-    spans: list[tuple[int, int] | None] = [None] * nrows
     by_row: dict[int, list[int]] = {}
     for r, c in cells:
         by_row.setdefault(r, []).append(c)
-    for r, cols in by_row.items():
-        lo, hi = min(cols), max(cols)
-        if hi - lo + 1 != len(cols):
-            raise NotSkewError(f"row {r} is not a contiguous interval")
-        spans[r] = (lo, hi)
-    prev = None  # last nonempty (row, lo, hi)
-    for r in range(nrows):
-        if spans[r] is None:
-            continue
-        lo, hi = spans[r]
-        if prev is not None:
-            plo, phi, prow = prev
-            if lo > plo or hi > phi:
-                raise NotSkewError("row boundaries must weakly decrease downward")
-            if r - prow > 1 and plo - 1 < hi:
-                raise NotSkewError("empty row requires upper row strictly right of lower")
-        prev = (lo, hi, r)
+    nrows = max(by_row) + 1
     lam = [0] * nrows
     mu = [0] * nrows
     for r in range(nrows - 1, -1, -1):
-        if spans[r] is None:
+        cols = by_row.get(r)
+        if cols is None:
             lam[r] = mu[r] = lam[r + 1]
-        else:
-            lo, hi = spans[r]
-            lam[r] = hi + 1
-            mu[r] = lo
-    return SkewShape(tuple(lam), tuple(mu))
+            continue
+        lo, hi = min(cols), max(cols)
+        if hi - lo + 1 != len(cols):
+            raise NotSkewError(f"row {r} is not a contiguous interval")
+        lam[r], mu[r] = hi + 1, lo
+    try:
+        return SkewShape(tuple(lam), tuple(mu))
+    except ShapeError as exc:
+        raise NotSkewError(f"cells are not a skew shape: {exc}") from exc
+
+
+def connected_skew(cells) -> SkewShape | None:
+    """The shape of a cell set that is a connected skew shape, else None."""
+    try:
+        shape = skew_from_cells(cells)
+    except NotSkewError:
+        return None
+    return shape if is_connected(shape) else None
 
 
 def rotate180(shape: SkewShape) -> SkewShape:
@@ -259,13 +250,6 @@ def components_of_cells(cells) -> list[frozenset[Cell]]:
     return out
 
 
-def is_connected_cells(cells) -> bool:
-    cells = frozenset(cells)
-    if not cells:
-        return True
-    return len(components_of_cells(cells)) == 1
-
-
 def connected_components(shape: SkewShape) -> tuple[SkewShape, ...]:
     """Connected components as canonical shapes, in deterministic order."""
     comps = [skew_from_cells(c) for c in components_of_cells(shape.cells)]
@@ -273,16 +257,17 @@ def connected_components(shape: SkewShape) -> tuple[SkewShape, ...]:
 
 
 def is_connected(shape: SkewShape) -> bool:
-    return is_connected_cells(shape.cells)
+    """True when each row overlaps the row below it (mu_i < lambda_{i+1}).
+
+    That also makes every row but the top one nonempty, and the top row
+    of a minimal pair always is.
+    """
+    return all(m < a for m, a in zip(shape.padded_inner, shape.outer[1:]))
 
 
 def is_ribbon(shape: SkewShape) -> bool:
     """True when no four cells form a 2x2 block."""
-    cells = shape.cells
-    return not any(
-        (r + 1, c) in cells and (r, c + 1) in cells and (r + 1, c + 1) in cells
-        for r, c in cells
-    )
+    return all(a - m <= 1 for m, a in zip(shape.padded_inner, shape.outer[1:]))
 
 
 def ribbon_composition_of(shape: SkewShape) -> Composition:
@@ -300,14 +285,13 @@ def ribbon_shape(comp: Composition) -> SkewShape:
     comp = tuple(int(a) for a in comp)
     if not comp or any(a <= 0 for a in comp):
         raise ShapeError(f"bad ribbon composition {comp!r}")
-    k = len(comp)
-    cells = set()
+    lam, mu = [], []
     start = 0  # column where the current row begins, built bottom-up
-    for i in range(k - 1, -1, -1):
-        for j in range(start, start + comp[i]):
-            cells.add((i, j))
-        start += comp[i] - 1
-    return skew_from_cells(cells)
+    for a in reversed(comp):
+        lam.append(start + a)
+        mu.append(start)
+        start += a - 1
+    return SkewShape(tuple(reversed(lam)), tuple(reversed(mu)))
 
 
 def diagonal(cell: Cell) -> int:
@@ -462,11 +446,7 @@ def connected_shapes(n: int):
 
     for top_width in range(1, n + 1):
         for spans in rec(n - top_width, [(0, top_width - 1)]):
-            cells = set()
-            for r, (lo, hi) in enumerate(spans):
-                for c in range(lo, hi + 1):
-                    cells.add((r, c))
-            yield skew_from_cells(cells)
+            yield SkewShape(tuple(hi + 1 for _, hi in spans), tuple(lo for lo, _ in spans))
 
 
 def box_bounded_shapes(max_cells: int, box: int):

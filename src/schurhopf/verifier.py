@@ -18,9 +18,9 @@ from .shapes import (
     Composition,
     Partition,
     SkewShape,
+    connected_skew,
     format_shape,
     is_connected,
-    is_connected_cells,
     is_ribbon,
     partitions_of,
     ribbon_composition_of,
@@ -498,10 +498,8 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
 
     # ---- slice the coproduct at the key size ---------------------------
     def ribbon_comp_of_cells(cells):
-        if not is_connected_cells(cells):
-            return None
-        piece = skew_from_cells(cells)
-        if not is_ribbon(piece):
+        piece = connected_skew(cells)
+        if piece is None or not is_ribbon(piece):
             return None
         return ribbon_composition_of(piece)
 

@@ -22,10 +22,10 @@ from .shapes import (
     SkewShape,
     canonicalize_cells,
     connected_shapes,
+    connected_skew,
     diagonal,
     format_shape,
     is_connected,
-    is_connected_cells,
     lies_in_bottom,
     lies_in_top,
     ne_box,
@@ -44,21 +44,6 @@ UU = "UU"  # W ^ O ^ W (vertical adjacency)
 
 class StructureError(ValueError):
     """Candidate (gamma, W placements) violates the structure axioms."""
-
-
-class InconsistentPlacementError(ValueError):
-    """Grid propagation produced conflicting copy translations."""
-
-
-def _try_shape(cells) -> SkewShape | None:
-    try:
-        return skew_from_cells(cells)
-    except NotSkewError:
-        return None
-
-
-def _is_valid_connected_piece(cells) -> bool:
-    return is_connected_cells(cells) and _try_shape(cells) is not None
 
 
 @dataclass(frozen=True)
@@ -111,22 +96,24 @@ class WowStructure:
 
     def _validate(self):
         cells = self.gamma.cells
-        if not is_connected_cells(cells):
+        if not is_connected(self.gamma):
             raise StructureError("gamma must be connected")
         if not (self.upper_w <= cells and self.lower_w <= cells):
             raise StructureError("W copies must lie inside gamma")
-        if self.w_shape != skew_from_cells(self.lower_w):
+        upper = connected_skew(self.upper_w)
+        lower = connected_skew(self.lower_w)
+        if upper is None or lower is None:
+            raise StructureError("each W copy must be a connected skew shape")
+        if upper != lower:
             raise StructureError("the two W copies must be translates of one shape")
-        if not is_connected(self.w_shape):
-            raise StructureError("W must be connected")
         if ne_box(cells) not in self.upper_w:
             raise StructureError("upper W must lie in the top of gamma")
         if sw_box(cells) not in self.lower_w:
             raise StructureError("lower W must lie in the bottom of gamma")
         for removed in (self.upper_w, self.lower_w):
-            if not _is_valid_connected_piece(cells - removed):
+            if connected_skew(cells - removed) is None:
                 raise StructureError("removing a W copy must leave a connected shape")
-        if not _is_valid_connected_piece(self.o_cells):
+        if connected_skew(self.o_cells) is None:
             raise StructureError("O must be a connected shape")
         if min(diagonal(c) for c in self.lower_w) - max(
             diagonal(c) for c in self.upper_w
@@ -221,8 +208,8 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
     def placement_pool(anchor):
         pool: dict[SkewShape, set[frozenset]] = {}
         for subset in _connected_subsets(cells, anchor, max_w):
-            shape = _try_shape(subset)
-            if shape is not None and _is_valid_connected_piece(cells - subset):
+            shape = connected_skew(subset)
+            if shape is not None and connected_skew(cells - subset) is not None:
                 pool.setdefault(shape, set()).add(subset)
         return pool
 
@@ -236,7 +223,7 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
                 if min(diagonal(c) for c in b) - max(diagonal(c) for c in t) < 2:
                     continue
                 o = cells - t - b
-                if not _is_valid_connected_piece(o):
+                if connected_skew(o) is None:
                     continue
                 for orientation in (RR, UU):
                     if _adjacency_holds(o, t, b, orientation):
@@ -253,9 +240,7 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
         out = []
         for mask in range(1, 1 << len(extras)):
             extended = frozenset(placed | {extras[i] for i in range(len(extras)) if mask >> i & 1})
-            if not is_connected_cells(extended) or _try_shape(extended) is None:
-                continue
-            if not _is_valid_connected_piece(cells - extended):
+            if connected_skew(extended) is None or connected_skew(cells - extended) is None:
                 continue
             out.append(extended)
         return out
@@ -344,20 +329,7 @@ def compose_layout(
     dr_n, dc_n = (
         structure.dot_shift if structure.orientation == RR else structure.amalg_shift
     )
-    offsets: dict[Cell, Cell] = {}
-    for r, c in acells:
-        offsets[(r, c)] = (c * dr_e - r * dr_n, c * dc_e - r * dc_n)
-    for r, c in acells:
-        east = (r, c + 1)
-        if east in acells:
-            got = (offsets[east][0] - offsets[(r, c)][0], offsets[east][1] - offsets[(r, c)][1])
-            if got != (dr_e, dc_e):
-                raise InconsistentPlacementError("east adjacency produced a conflict")
-        north = (r - 1, c)
-        if north in acells:
-            got = (offsets[north][0] - offsets[(r, c)][0], offsets[north][1] - offsets[(r, c)][1])
-            if got != (dr_n, dc_n):
-                raise InconsistentPlacementError("north adjacency produced a conflict")
+    offsets = {(r, c): (c * dr_e - r * dr_n, c * dc_e - r * dc_n) for r, c in acells}
     union: set[Cell] = set()
     gcells = structure.gamma.cells
     for off in offsets.values():

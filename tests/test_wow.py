@@ -71,6 +71,21 @@ class TestDetect:
         with pytest.raises(StructureError):
             WowStructure(gamma, RR, frozenset({(0, 3)}), frozenset({(3, 0)}))
 
+    @pytest.mark.parametrize(
+        "upper, lower",
+        [
+            ({(0, 2), (1, 3)}, {(2, 0), (3, 0)}),
+            ({(0, 3), (1, 3)}, {(2, 0), (3, 1)}),
+        ],
+        ids=["upper", "lower"],
+    )
+    def test_w_copy_not_a_skew_shape(self, upper, lower):
+        # a diagonal pair of cells is no skew shape; the axiom check must
+        # say so with StructureError rather than leak NotSkewError
+        gamma = shp("4,4,2,2/2,1")
+        with pytest.raises(StructureError):
+            WowStructure(gamma, RR, frozenset(upper), frozenset(lower))
+
 
 class TestAmalgamation:
     def test_full_overlap(self):
