@@ -83,7 +83,7 @@ def class_schur(cls: ShapeClass) -> schur.SymFunc:
 @schur.memoize
 def class_h_expansion(cls: ShapeClass) -> MappingProxyType:
     """Read-only h-basis image of a class (product over components)."""
-    out = {(): 1}
+    out = {0: 1}
     for comp in cls.components:
         out = schur.h_product(out, schur.h_expansion(comp))
     return MappingProxyType(out)
@@ -305,11 +305,7 @@ def combo_to_h(combo: dict) -> dict:
     sums by one common denominator first); the combination is zero as a
     symmetric function exactly when the result is empty.
     """
-    total: dict = {}
-    for cls, m in combo.items():
-        for p, c in class_h_expansion(cls).items():
-            total[p] = total.get(p, 0) + m * c
-    return {p: v for p, v in total.items() if v}
+    return schur.h_sum((m, class_h_expansion(cls)) for cls, m in combo.items())
 
 
 def _combos_equal_as_symfuncs(lhs: dict[ShapeClass, int], rhs: dict[ShapeClass, int]) -> bool:

@@ -305,67 +305,129 @@ def schur_equal(a: SkewShape, b: SkewShape) -> bool:
     return h_expansion(a) == h_expansion(b)
 
 
+# An h-monomial h_{p1}...h_{pk} is packed into one int whose H_BITS-bit field
+# d holds the multiplicity of d among the p's, so multiplying monomials adds
+# their keys.  A monomial of degree n has no multiplicity above n, so fields
+# cannot overflow below the degree bound H_LIMIT.
+H_BITS = 8
+H_LIMIT = 1 << H_BITS
+_H_MASK = H_LIMIT - 1
+
+
+def _check_h_degree(degree: int) -> None:
+    if degree >= H_LIMIT:
+        raise SymFuncError(f"h-basis image of degree {degree} exceeds the bound {H_LIMIT - 1}")
+
+
+def _h_partition(key: int) -> Partition:
+    parts: list[int] = []
+    d = 0
+    while key:
+        parts += [d] * (key & _H_MASK)
+        key >>= H_BITS
+        d += 1
+    return tuple(reversed(parts))
+
+
+def h_terms(image):
+    """(partition, coefficient) pairs of an h-basis image, in reverse-lex order.
+
+    Comparing packed keys compares the highest differing multiplicity first,
+    which is the lexicographic order on the partitions they pack.
+    """
+    for key in sorted(image, reverse=True):
+        yield _h_partition(key), image[key]
+
+
+def _h_degree(image) -> int:
+    """Degree of a homogeneous h-basis image (0 for the zero image)."""
+    return sum(_h_partition(next(iter(image)))) if image else 0
+
+
 @memoize
 def h_expansion(shape: SkewShape) -> MappingProxyType:
     """Jacobi-Trudi determinant as a polynomial in the h-basis.
 
-    Keys are partitions standing for products of complete homogeneous
-    functions; values are integer coefficients.  The mapping is read-only
-    because every caller shares the cached one.
+    Keys are packed h-monomials; values are integer coefficients.
+    The mapping is read-only because every caller shares the cached one.
     """
     lam = shape.outer
     mu = shape.padded_inner
     ell = len(lam)
     if ell == 0:
-        return MappingProxyType({(): 1})
+        return MappingProxyType({0: 1})
+    _check_h_degree(shape.size)
     # det(h_{lam_i - mu_j - i + j}): the entry in row i, column j is nonzero
-    # exactly when j >= t_i, and the thresholds t_i are non-decreasing, so
-    # subdeterminants memoize on (row, free columns at or past the threshold)
-    thresholds = []
+    # exactly when j >= t_i, and the thresholds t_i are non-decreasing.  A
+    # subdeterminant is fixed by its free columns, a bitmask (its row is ell
+    # minus their count); a free column under row i + 1's threshold must be
+    # taken by row i, and two such columns make the subdeterminant vanish
+    below = []  # below[i]: mask of the columns under row i's threshold
     for i in range(ell):
-        t = ell
-        for j in range(ell):
-            if mu[j] - j <= lam[i] - i:
-                t = j
-                break
-        thresholds.append(t)
+        t = next((j for j in range(ell) if mu[j] - j <= lam[i] - i), ell)
+        below.append((1 << t) - 1)
+    below.append(0)
+    steps = [
+        [1 << (H_BITS * d) if d > 0 else 0 for d in (lam[i] - mu[j] - i + j for j in range(ell))]
+        for i in range(ell)
+    ]
+    memo: dict[int, dict[int, int]] = {0: {0: 1}}
 
-    memo: dict[tuple, dict[Partition, int]] = {}
-
-    def subdet(i: int, free: tuple[int, ...]) -> dict[Partition, int]:
-        if i == ell:
-            return {(): 1}
-        if free and free[0] < thresholds[i]:
-            return {}  # a column can no longer be covered by any later row
-        state = (i, free)
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        acc: dict[Partition, int] = {}
-        for idx, j in enumerate(free):
-            d = lam[i] - mu[j] - i + j
-            sub = subdet(i + 1, free[:idx] + free[idx + 1 :])
-            if not sub:
-                continue
-            sign = 1 if idx % 2 == 0 else -1
-            for p, c in sub.items():
-                q = tuple(sorted(p + (d,), reverse=True)) if d > 0 else p
-                acc[q] = acc.get(q, 0) + sign * c
-        acc = {p: c for p, c in acc.items() if c != 0}
-        memo[state] = acc
+    def subdet(i: int, free: int) -> dict[int, int]:
+        forced = free & below[i + 1]
+        acc: dict[int, int] = {}
+        if not forced & (forced - 1):
+            get = acc.get
+            step = steps[i]
+            positive = True
+            rest = forced or free
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                sub = memo.get(free ^ bit)
+                if sub is None:
+                    sub = subdet(i + 1, free ^ bit)
+                if sub:
+                    e = step[bit.bit_length() - 1]
+                    if positive:
+                        for k, c in sub.items():
+                            k += e
+                            acc[k] = get(k, 0) + c
+                    else:
+                        for k, c in sub.items():
+                            k += e
+                            acc[k] = get(k, 0) - c
+                positive = not positive
+            if 0 in acc.values():
+                acc = {k: c for k, c in acc.items() if c}
+        memo[free] = acc
         return acc
 
-    return MappingProxyType(subdet(0, tuple(range(ell))))
+    return MappingProxyType(subdet(0, (1 << ell) - 1))
 
 
-def h_product(f: dict[Partition, int], g: dict[Partition, int]) -> dict[Partition, int]:
-    """Product of two h-basis polynomials (multiset union of indices)."""
-    out: dict[Partition, int] = {}
+def h_product(f, g) -> dict[int, int]:
+    """Product of two h-basis images: the keys of two monomials add."""
+    if not f or not g:
+        return {}
+    _check_h_degree(_h_degree(f) + _h_degree(g))
+    out: dict[int, int] = {}
+    get = out.get
     for p, a in f.items():
         for q, b in g.items():
-            key = tuple(sorted(p + q, reverse=True))
-            out[key] = out.get(key, 0) + a * b
-    return {p: c for p, c in out.items() if c != 0}
+            k = p + q
+            out[k] = get(k, 0) + a * b
+    return {k: c for k, c in out.items() if c}
+
+
+def h_sum(terms) -> dict[int, int]:
+    """Nonzero coefficients of sum w * image over (w, h-basis image) pairs."""
+    total: dict[int, int] = {}
+    get = total.get
+    for w, image in terms:
+        for k, c in image.items():
+            total[k] = get(k, 0) + w * c
+    return {k: c for k, c in total.items() if c}
 
 
 @memoize

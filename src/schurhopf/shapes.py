@@ -119,7 +119,11 @@ def _minimal_pair(outer: Partition, inner: Partition) -> tuple[Partition, Partit
         else:
             mus.append(below)
         lams.append(below)
-    return tuple(reversed(lams)), check_partition(reversed(mus))
+    lams.reverse()
+    mus.reverse()
+    while mus and not mus[-1]:
+        mus.pop()  # trailing zeros; what is left is already a partition
+    return tuple(lams), tuple(mus)
 
 
 @dataclass(frozen=True)
@@ -204,13 +208,36 @@ def skew_from_cells(cells) -> SkewShape:
         raise NotSkewError(f"cells are not a skew shape: {exc}") from exc
 
 
+def is_connected_skew(cells) -> bool:
+    """Whether a cell set is a connected skew shape, read from its row spans.
+
+    The rows must be consecutive contiguous intervals, each starting and
+    ending weakly right of the one below it and overlapping it in a column.
+    No shape is built.
+    """
+    by_row: dict[int, list[int]] = {}
+    for r, c in cells:
+        by_row.setdefault(r, []).append(c)
+    if not by_row:
+        return True
+    top = min(by_row)
+    below_lo = below_hi = None
+    for r in range(top + len(by_row) - 1, top - 1, -1):
+        cols = by_row.get(r)
+        if cols is None:
+            return False
+        lo, hi = min(cols), max(cols)
+        if hi - lo + 1 != len(cols):
+            return False
+        if below_lo is not None and not below_lo <= lo <= below_hi <= hi:
+            return False
+        below_lo, below_hi = lo, hi
+    return True
+
+
 def connected_skew(cells) -> SkewShape | None:
     """The shape of a cell set that is a connected skew shape, else None."""
-    try:
-        shape = skew_from_cells(cells)
-    except NotSkewError:
-        return None
-    return shape if is_connected(shape) else None
+    return skew_from_cells(cells) if is_connected_skew(cells) else None
 
 
 def rotate180(shape: SkewShape) -> SkewShape:
@@ -459,10 +486,10 @@ def box_bounded_shapes(max_cells: int, box: int):
     seen = set()
     for lam in partitions_in_box(box, box):
         for mu in _subpartitions(lam, max_deficit=max_cells):
-            shape = SkewShape(lam, mu)
-            if shape not in seen:
-                seen.add(shape)
-                yield shape
+            pair = _minimal_pair(lam, mu)
+            if pair not in seen:
+                seen.add(pair)
+                yield SkewShape(*pair)
 
 
 def _subpartitions(lam: Partition, max_deficit: int | None = None):

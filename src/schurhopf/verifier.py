@@ -248,12 +248,11 @@ class Report:
         def expansion(f, shape):
             if f is not None:
                 return {"basis": "schur", "terms": f.to_json()}
-            hx = schur.h_expansion(shape)
             return {
                 "basis": "h",
                 "terms": [
                     {"partition": list(p), "coefficient": c}
-                    for p, c in sorted(hx.items(), reverse=True)
+                    for p, c in schur.h_terms(schur.h_expansion(shape))
                 ],
             }
 
@@ -353,15 +352,6 @@ def _combo_add(acc: Combo, cls, coeff):
             del acc[cls]
 
 
-def _h_sum(terms) -> dict:
-    """Nonzero coefficients of sum w * image over (w, h-image) pairs."""
-    total: dict = {}
-    for w, image in terms:
-        for p, c in image.items():
-            total[p] = total.get(p, 0) + w * c
-    return {p: c for p, c in total.items() if c}
-
-
 @dataclass
 class ProofTrace:
     """Everything the column-sum argument checks, with verdicts."""
@@ -417,7 +407,7 @@ class ProofTrace:
         def render_h(hmap):
             return [
                 {"partition": list(p), "coefficient": str(Fraction(c, self.denominator))}
-                for p, c in sorted(hmap.items(), reverse=True)
+                for p, c in schur.h_terms(hmap)
             ]
 
         return {
@@ -604,7 +594,7 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     # v' applied to the whole matrix vanishes, i.e. the alpha1 column is the
     # signed sum of the non-key columns (the delta column carries weight 0)
     def signed_column_zero(images) -> bool:
-        return not _h_sum((w, images[lab]) for w, lab in zip(vprime, columns) if w)
+        return not schur.h_sum((w, images[lab]) for w, lab in zip(vprime, columns) if w)
 
     signed_column_ok = signed_column_zero(h_right) and signed_column_zero(h_left)
 
@@ -618,12 +608,12 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     key_column_equal = h_right[key] == h_left[key]
     if x_class is not None and y_class is not None:
         x_h, y_h = hopf.class_h_expansion(x_class), hopf.class_h_expansion(y_class)
-        balance_ok = not _h_sum(
+        balance_ok = not schur.h_sum(
             [(1, h_right[key]), (-1, h_left[key]), (d, x_h), (-d, y_h)]
         )
         if modified:
             delta = columns[i2]
-            balance_ok = balance_ok and not _h_sum(
+            balance_ok = balance_ok and not schur.h_sum(
                 [(1, h_right[delta]), (-1, h_left[delta]), (-d, y_h)]
             )
 

@@ -26,6 +26,7 @@ from .shapes import (
     diagonal,
     format_shape,
     is_connected,
+    is_connected_skew,
     lies_in_bottom,
     lies_in_top,
     ne_box,
@@ -55,16 +56,13 @@ class WowStructure:
     upper_w: frozenset[Cell]
     lower_w: frozenset[Cell]
     o_cells: frozenset[Cell] = field(init=False)
+    w_shape: SkewShape = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "o_cells", frozenset(self.gamma.cells - self.upper_w - self.lower_w)
         )
         self._validate()
-
-    @cached_property
-    def w_shape(self) -> SkewShape:
-        return skew_from_cells(self.upper_w)
 
     @cached_property
     def o_shape(self) -> SkewShape:
@@ -106,14 +104,15 @@ class WowStructure:
             raise StructureError("each W copy must be a connected skew shape")
         if upper != lower:
             raise StructureError("the two W copies must be translates of one shape")
+        object.__setattr__(self, "w_shape", upper)
         if ne_box(cells) not in self.upper_w:
             raise StructureError("upper W must lie in the top of gamma")
         if sw_box(cells) not in self.lower_w:
             raise StructureError("lower W must lie in the bottom of gamma")
         for removed in (self.upper_w, self.lower_w):
-            if connected_skew(cells - removed) is None:
+            if not is_connected_skew(cells - removed):
                 raise StructureError("removing a W copy must leave a connected shape")
-        if connected_skew(self.o_cells) is None:
+        if not is_connected_skew(self.o_cells):
             raise StructureError("O must be a connected shape")
         if min(diagonal(c) for c in self.lower_w) - max(
             diagonal(c) for c in self.upper_w
@@ -206,24 +205,24 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
     max_w = (gamma.size - 1) // 2
 
     def placement_pool(anchor):
-        pool: dict[SkewShape, set[frozenset]] = {}
+        # placements keyed by their canonical cells: equal keys are translates
+        pool: dict[frozenset, set[frozenset]] = {}
         for subset in _connected_subsets(cells, anchor, max_w):
-            shape = connected_skew(subset)
-            if shape is not None and connected_skew(cells - subset) is not None:
-                pool.setdefault(shape, set()).add(subset)
+            if is_connected_skew(subset) and is_connected_skew(cells - subset):
+                pool.setdefault(canonicalize_cells(subset), set()).add(subset)
         return pool
 
     tops = placement_pool(ne_box(cells))
     bottoms = placement_pool(sw_box(cells))
 
     candidates = []
-    for key in sorted(tops.keys() & bottoms.keys(), key=lambda w: sorted(w.cells)):
+    for key in sorted(tops.keys() & bottoms.keys(), key=sorted):
         for t in sorted(tops[key], key=sorted):
             for b in sorted(bottoms[key], key=sorted):
                 if min(diagonal(c) for c in b) - max(diagonal(c) for c in t) < 2:
                     continue
                 o = cells - t - b
-                if connected_skew(o) is None:
+                if not is_connected_skew(o):
                     continue
                 for orientation in (RR, UU):
                     if _adjacency_holds(o, t, b, orientation):
@@ -240,7 +239,7 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
         out = []
         for mask in range(1, 1 << len(extras)):
             extended = frozenset(placed | {extras[i] for i in range(len(extras)) if mask >> i & 1})
-            if connected_skew(extended) is None or connected_skew(cells - extended) is None:
+            if not (is_connected_skew(extended) and is_connected_skew(cells - extended)):
                 continue
             out.append(extended)
         return out

@@ -224,6 +224,37 @@ def test_trace_json_golden_digest(capsys, extra, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (
+            ("search", "--max-size", "8", "--json"),
+            0,
+            "b2c99760f1e78642c5d2fe92c6c0b8aac4db7e7db84fb49c878f20afd5bd29cc",
+        ),
+        (
+            ("verify", "--beta", "2,2,1", "--gamma", "4,3,3,2,2,2/2,2,1,1,1", "--json"),
+            0,
+            "e78c27b0acbf75e8f66e3447218416470f563537371e06871bd59c6e44666a92",
+        ),
+    ],
+    ids=["search-8", "h-basis-report"],
+)
+def test_json_golden_digest(capsys, argv, code, digest):
+    # a search sweep and a report that renders h-basis terms, pinned byte for byte
+    got_code, out, _ = run(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_h_degree_bound_exit_2(capsys):
+    # a 511-cell composition exceeds the h-basis degree bound: refused, not "differ"
+    code, out, err = run(capsys, "verify", "--beta", "255", "--gamma", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: h-basis image of degree 511") and err.count("\n") == 1
+
+
 def test_out_of_memory_exit_2(capsys, monkeypatch):
     # running out of memory is a refusal (2), never a traceback that reads as "differ" (1)
     def exhausted(*args, **kwargs):

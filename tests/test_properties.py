@@ -1,18 +1,33 @@
 """Property tests on random skew shapes (hypothesis; test-only dependency)."""
 
+from functools import cache
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurhopf.schur import h_expansion, schur_equal, schur_expand
+from schurhopf.schur import (
+    H_BITS,
+    H_LIMIT,
+    SymFuncError,
+    h_expansion,
+    h_product,
+    h_terms,
+    schur_equal,
+    schur_expand,
+)
 from schurhopf.shapes import (
     SkewShape,
     connected_skew,
     is_connected,
+    is_connected_skew,
     is_ribbon,
     rotate180,
     skew_from_cells,
     transpose,
+    translate_cells,
 )
+from schurhopf.wow import RR, compose, wow_catalog
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -115,9 +130,15 @@ def test_pair_predicates_match_cells(shape):
 
 
 @settings(PROPERTY, max_examples=400)
-@given(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3))))
+@given(
+    st.sampled_from([(4, 4), (5, 3), (3, 5)]).flatmap(
+        lambda box: st.sets(st.tuples(st.integers(0, box[0] - 1), st.integers(0, box[1] - 1)))
+    )
+)
 def test_connected_skew_matches_row_rules(cells):
-    assert connected_skew(cells) == _reference_connected_skew(cells)
+    expected = _reference_connected_skew(cells)
+    assert connected_skew(cells) == expected
+    assert is_connected_skew(cells) == (expected is not None)
 
 
 def _conjugate(p):
@@ -129,3 +150,110 @@ def _conjugate(p):
 def test_conjugation_acts_as_omega(shape):
     conjugated = {_conjugate(p): c for p, c in schur_expand(shape).coeffs}
     assert schur_expand(transpose(shape)).as_dict() == conjugated
+
+
+def _reference_h_expansion(shape):
+    """Jacobi-Trudi determinant keyed by partitions, memoized on (row, free columns)."""
+    lam, mu = shape.outer, shape.padded_inner
+    ell = len(lam)
+    memo: dict = {}
+
+    def subdet(i, free):
+        if i == ell:
+            return {(): 1}
+        if (i, free) not in memo:
+            acc: dict = {}
+            for idx, j in enumerate(free):
+                d = lam[i] - mu[j] - i + j
+                if d < 0:
+                    continue
+                for p, c in subdet(i + 1, free[:idx] + free[idx + 1 :]).items():
+                    q = tuple(sorted(p + (d,), reverse=True)) if d else p
+                    acc[q] = acc.get(q, 0) + (-1) ** idx * c
+            memo[(i, free)] = {p: c for p, c in acc.items() if c}
+        return memo[(i, free)]
+
+    return subdet(0, tuple(range(ell)))
+
+
+@PROPERTY
+@given(shapes(max_cells=14))
+def test_packed_kernel_matches_partition_kernel(shape):
+    terms = list(h_terms(h_expansion(shape)))
+    reference = _reference_h_expansion(shape)
+    assert terms == sorted(reference.items(), reverse=True)
+
+
+partitions = st.lists(st.integers(1, 9), max_size=8).map(lambda p: tuple(sorted(p, reverse=True)))
+
+
+def _pack(parts):
+    """h_{p1}...h_{pk} as its packed key: field d counts the parts equal to d."""
+    return sum(1 << (H_BITS * d) for d in parts)
+
+
+@PROPERTY
+@given(partitions, partitions, st.integers(-5, 5), st.integers(-5, 5))
+def test_h_product_is_multiset_union(p, q, a, b):
+    union = tuple(sorted(p + q, reverse=True))
+    product = h_product({_pack(p): a}, {_pack(q): b})
+    assert list(h_terms(product)) == ([(union, a * b)] if a * b else [])
+
+
+@PROPERTY
+@given(st.dictionaries(partitions, st.integers(-9, 9).filter(bool), max_size=12))
+def test_h_terms_decodes_packed_keys(coeffs):
+    image = {_pack(p): c for p, c in coeffs.items()}
+    assert list(h_terms(image)) == sorted(coeffs.items(), reverse=True)
+
+
+def test_h_degree_bound():
+    # the largest multiplicity a degree below the bound allows still decodes
+    top = (1,) * (H_LIMIT - 1)
+    assert list(h_terms({_pack(top): 1})) == [(top, 1)]
+    assert list(h_terms(h_expansion(SkewShape((H_LIMIT - 1,))))) == [((H_LIMIT - 1,), 1)]
+    with pytest.raises(SymFuncError):
+        h_expansion(SkewShape((H_LIMIT,)))
+    half = h_expansion(SkewShape((H_LIMIT // 2,)))
+    with pytest.raises(SymFuncError):
+        h_product(half, half)
+
+
+@cache
+def _structures():
+    return wow_catalog(7)
+
+
+def _compose_in_frame(alpha_cells, gamma_cells, upper_w, lower_w, orientation):
+    """A gamma copy per alpha cell, overlaid by shifts read off the given W copies."""
+    amalg = (
+        min(r for r, _ in upper_w) - min(r for r, _ in lower_w),
+        min(c for _, c in upper_w) - min(c for _, c in lower_w),
+    )
+    step = -1 if orientation == RR else 1
+    dot = (amalg[0] + step, amalg[1] + step)
+    east, south = (amalg, dot) if orientation == RR else (dot, amalg)
+    union: set = set()
+    for r, c in alpha_cells:
+        offset = (c * east[0] - r * south[0], c * east[1] - r * south[1])
+        union |= translate_cells(gamma_cells, offset)
+    return skew_from_cells(union)
+
+
+@PROPERTY
+@given(
+    st.integers(0, 10**6),
+    shapes(max_cells=4).filter(lambda s: s.size > 0),
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+)
+def test_compose_is_translation_invariant(pick, alpha, gamma_shift, alpha_shift):
+    structure = _structures()[pick % len(_structures())]
+    moved = _compose_in_frame(
+        translate_cells(alpha.cells, alpha_shift),
+        translate_cells(structure.gamma.cells, gamma_shift),
+        translate_cells(structure.upper_w, gamma_shift),
+        translate_cells(structure.lower_w, gamma_shift),
+        structure.orientation,
+    )
+    assert moved == compose(alpha, structure)
