@@ -226,6 +226,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'the input is too large'}", file=sys.stderr)
         return 2
+    except RecursionError as exc:
+        print(f"error: input too large: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader left: send the unflushed rest to devnull, as the signal
         # docs advise, and exit like a process killed by SIGPIPE (128 + 13)

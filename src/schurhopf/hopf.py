@@ -45,14 +45,6 @@ class ShapeClass:
     def is_empty(self) -> bool:
         return not self.components
 
-    def is_connected_ribbon(self) -> bool:
-        return len(self.components) == 1 and is_ribbon(self.components[0])
-
-    def ribbon_composition(self) -> Composition:
-        if len(self.components) != 1:
-            raise ValueError("class is not a single connected shape")
-        return ribbon_composition_of(self.components[0])
-
     def __mul__(self, other: "ShapeClass") -> "ShapeClass":
         return ShapeClass(self.components + other.components)
 

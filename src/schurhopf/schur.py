@@ -82,14 +82,8 @@ class SymFunc:
             out[p] = out.get(p, 0) + c
         return SymFunc.from_dict(self.degree, out)
 
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + other.scale(-1)
-
     def scale(self, k: int) -> "SymFunc":
         return SymFunc.from_dict(self.degree, {p: k * c for p, c in self.coeffs})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def render(self) -> str:
         if not self.coeffs:

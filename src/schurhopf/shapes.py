@@ -55,17 +55,14 @@ def check_partition(parts) -> Partition:
     return tuple(out)
 
 
-def partitions_of(n: int, max_part: int | None = None, max_len: int | None = None):
+def partitions_of(n: int, max_part: int | None = None):
     """Yield all partitions of n, largest part first, in descending lex order."""
     if n == 0:
         yield ()
         return
-    if max_len is not None and max_len <= 0:
-        return
     top = n if max_part is None else min(n, max_part)
     for first in range(top, 0, -1):
-        rest_len = None if max_len is None else max_len - 1
-        for rest in partitions_of(n - first, first, rest_len):
+        for rest in partitions_of(n - first, first):
             yield (first,) + rest
 
 
@@ -481,33 +478,38 @@ def box_bounded_shapes(max_cells: int, box: int):
 
     This is the finite family used by the exhaustive identity checks;
     translation classes of skew shapes are infinite in general because
-    disconnected components admit arbitrarily wide gaps.
+    disconnected components admit arbitrarily wide gaps.  Each shape is
+    built once, from its minimal pair, which fits in the box whenever any
+    pair of the class does.
     """
-    seen = set()
+    yield EMPTY_SHAPE
     for lam in partitions_in_box(box, box):
-        for mu in _subpartitions(lam, max_deficit=max_cells):
-            pair = _minimal_pair(lam, mu)
-            if pair not in seen:
-                seen.add(pair)
-                yield SkewShape(*pair)
+        if lam and lam[-1] <= max_cells:
+            for mu in _minimal_inners(lam, max_cells - lam[-1]):
+                yield SkewShape(lam, mu)
 
 
-def _subpartitions(lam: Partition, max_deficit: int | None = None):
-    """Partitions mu below lam, optionally with |lam| - |mu| <= max_deficit."""
+def _minimal_inners(lam: Partition, budget: int):
+    """Partitions mu making lam/mu a minimal pair with <= budget cells above the last row.
 
-    def rec(i, bound, deficit):
-        if i == len(lam):
+    The bottom row keeps all of lam's last part, the top row keeps a cell,
+    and an empty row in between is as long as the row below it.
+    """
+    last = len(lam) - 1
+
+    def rec(i, bound, budget):
+        if i == last:
             yield ()
             return
-        top = min(bound, lam[i])
-        floor = 0 if max_deficit is None else max(0, lam[i] - (max_deficit - deficit))
-        for part in range(top, floor - 1, -1):
-            d = deficit + lam[i] - part
+        empty_ok = i > 0 and lam[i] == lam[i + 1]
+        top = min(bound, lam[i] if empty_ok else lam[i] - 1)
+        for part in range(top, max(0, lam[i] - budget) - 1, -1):
+            left = budget - (lam[i] - part)
             if part == 0:
-                if max_deficit is None or d + sum(lam[i + 1 :]) <= max_deficit:
+                if sum(lam[i + 1 : last]) <= left:
                     yield ()
                 continue
-            for rest in rec(i + 1, part, d):
+            for rest in rec(i + 1, part, left):
                 yield (part,) + rest
 
-    yield from rec(0, lam[0] if lam else 0, 0)
+    yield from rec(0, lam[0], budget)

@@ -26,7 +26,6 @@ from .shapes import (
     ribbon_composition_of,
     ribbon_shape,
     rotate180,
-    skew_from_cells,
     translate_cells,
 )
 
@@ -70,85 +69,55 @@ class RibbonBasis:
         return self.ribbons.index(tuple(comp))
 
 
-def _expansion_vector(comp: Composition, order: tuple[Partition, ...]) -> tuple[int, ...]:
-    f = schur.schur_expand(ribbon_shape(comp)).as_dict()
-    return tuple(f.get(p, 0) for p in order)
-
-
-def _reduce_against(rows: list[list[Fraction]], pivots: list[int], vec) -> list[Fraction]:
-    work = [Fraction(x) for x in vec]
-    for row, piv in zip(rows, pivots):
-        if work[piv]:
-            factor = work[piv] / row[piv]
-            for j in range(len(work)):
-                work[j] -= factor * row[j]
-    return work
-
-
 def ribbon_basis(n: int, required: tuple[Composition, ...] = ()) -> RibbonBasis:
     """Deterministic ribbon basis: required seeds, then lexicographic scan.
 
-    Raises DependentRequiredError when the seeds are already dependent;
-    callers fall back on the scalar-multiple lemma in that case.
+    One Gauss-Jordan pass over [V | I], where column j of V is the j-th
+    candidate's expansion vector, computed when the scan reaches it.  The
+    pivot columns are the basis, and the identity half ends as the inverse
+    of the transposed basis matrix.  Raises DependentRequiredError when the
+    seeds are already dependent; callers fall back on the scalar-multiple
+    lemma in that case.
     """
     if n < 1:
         raise VerifierError("degree must be positive")
     order = tuple(sorted(partitions_of(n), reverse=True))
-    target = len(order)
+    p = len(order)
+    seeds = tuple(tuple(c) for c in required)
+    scan = seeds + tuple(c for c in schur.connected_ribbons_of_size(n) if c not in seeds)
     chosen: list[Composition] = []
-    rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-
-    def try_add(comp: Composition) -> bool:
-        vec = _expansion_vector(comp, order)
-        reduced = _reduce_against(rows, pivots, vec)
-        piv = next((j for j, x in enumerate(reduced) if x), None)
-        if piv is None:
-            return False
-        chosen.append(tuple(comp))
-        rows.append(reduced)
-        pivots.append(piv)
-        return True
-
-    for comp in required:
-        if not try_add(tuple(comp)):
-            raise DependentRequiredError(f"required ribbons are dependent at {comp}")
-    for comp in schur.connected_ribbons_of_size(n):
-        if len(chosen) == target:
+    matrix: list[tuple[int, ...]] = []
+    inverse = [[Fraction(int(i == j)) for j in range(p)] for i in range(p)]
+    for i, comp in enumerate(scan):
+        k = len(chosen)
+        if k == p and i >= len(seeds):
             break
-        if comp in chosen:
+        f = schur.schur_expand(ribbon_shape(comp)).as_dict()
+        vec = tuple(f.get(q, 0) for q in order)
+        col = [sum(a * b for a, b in zip(row, vec) if b) for row in inverse]
+        piv = next((r for r in range(k, p) if col[r]), None)
+        if piv is None:
+            if i < len(seeds):
+                raise DependentRequiredError(f"required ribbons are dependent at {comp}")
             continue
-        try_add(comp)
-    if len(chosen) != target:
+        inverse[k], inverse[piv] = inverse[piv], inverse[k]
+        col[k], col[piv] = col[piv], col[k]
+        inverse[k] = pivot_row = [x / col[k] for x in inverse[k]]
+        for r, row in enumerate(inverse):
+            if r != k and col[r]:
+                inverse[r] = [a - col[r] * b for a, b in zip(row, pivot_row)]
+        chosen.append(comp)
+        matrix.append(vec)
+    if len(chosen) != p:
         raise VerifierError("ribbons failed to span; this should be impossible")
-    matrix = tuple(_expansion_vector(c, order) for c in chosen)
-    solver, denominator = _integer_inverse_transpose(matrix)
-    return RibbonBasis(n, tuple(chosen), order, matrix, solver, denominator)
+    solver, denominator = _scale_to_integers(inverse)
+    return RibbonBasis(n, tuple(chosen), order, tuple(matrix), solver, denominator)
 
 
-def _integer_inverse_transpose(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(A, D) with D > 0 and A / D the inverse of the transpose of an integer matrix.
-
-    One Gauss-Jordan pass in Fractions, scaled by the lcm of the
-    denominators; no later solve touches a Fraction.
-    """
-    p = len(matrix)
-    aug = [
-        [Fraction(matrix[i][j]) for i in range(p)] + [Fraction(int(i == j)) for i in range(p)]
-        for j in range(p)
-    ]
-    for col in range(p):
-        piv = next(r for r in range(col, p) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(p):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    d = lcm(*(x.denominator for row in aug for x in row[p:]))
-    solver = tuple(tuple(x.numerator * (d // x.denominator) for x in row[p:]) for row in aug)
-    return solver, d
+def _scale_to_integers(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(A, D) with D > 0 the lcm of the denominators and A / D equal to rows."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
 
 
 def _solve_in_basis(basis: RibbonBasis, coeffs: dict[Partition, int]) -> tuple[int, ...]:
@@ -404,11 +373,17 @@ class ProofTrace:
                 return f"{list(label[1])}-{list(label[2])}"
             return list(label)
 
-        def render_h(hmap):
-            return [
-                {"partition": list(p), "coefficient": str(Fraction(c, self.denominator))}
-                for p, c in schur.h_terms(hmap)
-            ]
+        def render_sums(images):
+            return {
+                str(render_col(c)): [
+                    {"partition": list(p), "coefficient": str(Fraction(x, self.denominator))}
+                    for p, x in schur.h_terms(h)
+                ]
+                for c, h in images.items()
+            }
+
+        def render_direct(direct):
+            return [{"ribbon": list(c), "cells": sorted(cells)} for c, cells, _ in direct]
 
         return {
             "degenerate": self.degenerate,
@@ -419,21 +394,11 @@ class ProofTrace:
             "basis": [list(c) for c in self.basis.ribbons],
             "parity": list(self.parity),
             "columns": [render_col(c) for c in self.columns],
-            "columnSumsLeft": {
-                str(render_col(c)): render_h(h) for c, h in self.column_h_left.items()
-            },
-            "columnSumsRight": {
-                str(render_col(c)): render_h(h) for c, h in self.column_h_right.items()
-            },
+            "columnSumsLeft": render_sums(self.column_h_left),
+            "columnSumsRight": render_sums(self.column_h_right),
             "columnEqual": {str(render_col(c)): v for c, v in self.column_equal.items()},
-            "directLeft": [
-                {"ribbon": list(c), "cells": sorted(cells)}
-                for c, cells, _ in self.direct_left
-            ],
-            "directRight": [
-                {"ribbon": list(c), "cells": sorted(cells)}
-                for c, cells, _ in self.direct_right
-            ],
+            "directLeft": render_direct(self.direct_left),
+            "directRight": render_direct(self.direct_right),
             "oneKeyLeft": self.one_key_left_ok,
             "oneKeyRight": self.one_key_right_ok,
             "signedSumRows": self.signed_sum_rows_ok,
@@ -461,74 +426,54 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     n = keys.size
     alpha1, alpha2 = keys.top, keys.bottom
     s_parts = filled_rectangle(beta, structure.orientation)
-    rows_s, cols_s = len(s_parts), s_parts[0]
-    degenerate = rows_s == 1 or cols_s == 1
+    degenerate = 1 in (len(s_parts), s_parts[0])
     s_shape, offsets, shift = wow.compose_layout(SkewShape(s_parts), structure)
-    nn = s_shape.size
-
-    beta_cells = set(SkewShape(s_parts).cells) - {(rows_s - 1, cols_s - 1)}
-    beta_star_cells = set(SkewShape(s_parts).cells) - {(0, 0)}
-    gcells = structure.gamma.cells
-
-    def raw_union(alpha_cells):
-        out = set()
-        for cell in alpha_cells:
-            out |= translate_cells(gcells, offsets[cell])
-        return frozenset(out)
-
-    lhs_shape = skew_from_cells(raw_union(beta_cells))       # beta o gamma
-    rhs_shape = skew_from_cells(raw_union(beta_star_cells))  # beta* o gamma
-
-    expected_top = translate_cells(
-        translate_cells(keys.top_footprint, offsets[(0, 0)]), shift
-    )
-    expected_bottom = translate_cells(
-        translate_cells(keys.bottom_footprint, offsets[(rows_s - 1, cols_s - 1)]), shift
-    )
+    beta_shape = SkewShape(beta)
+    lhs_shape = wow.compose(beta_shape, structure)  # beta o gamma
+    rhs_shape = wow.compose(rotate180(beta_shape), structure)  # beta* o gamma
 
     # ---- slice the coproduct at the key size ---------------------------
-    def ribbon_comp_of_cells(cells):
-        piece = connected_skew(cells)
-        if piece is None or not is_ribbon(piece):
-            return None
-        return ribbon_composition_of(piece)
+    def slice_side(key_on_left: bool):
+        """Matrix rows and direct terms of the tensor side holding the key-size factor.
 
-    r_rows: dict = {}
-    direct_left = []
-    for left, right in hopf.coproduct_slice(s_shape, n):
-        comp = ribbon_comp_of_cells(left)
-        if comp is not None:
-            direct_left.append((comp, left, hopf.class_of_cells(right)))
-        else:
-            lam = hopf.class_of_cells(left)
-            r_rows.setdefault(lam, {})
-            rc = hopf.class_of_cells(right)
-            r_rows[lam][rc] = r_rows[lam].get(rc, 0) + 1
+        A factor that is a connected ribbon becomes a direct term (ribbon,
+        cells, class of the other factor); any other factor adds one to its
+        row, indexed by its class and then by the other factor's class.
+        """
+        rows: dict = {}
+        direct = []
+        for left, right in hopf.coproduct_slice(s_shape, n if key_on_left else s_shape.size - n):
+            mine, other = (left, right) if key_on_left else (right, left)
+            piece = connected_skew(mine)
+            if piece is not None and is_ribbon(piece):
+                direct.append((ribbon_composition_of(piece), mine, hopf.class_of_cells(other)))
+            else:
+                partners = rows.setdefault(hopf.class_of_cells(mine), {})
+                cls = hopf.class_of_cells(other)
+                partners[cls] = partners.get(cls, 0) + 1
+        return rows, direct
 
-    l_rows: dict = {}
-    direct_right = []
-    for left, right in hopf.coproduct_slice(s_shape, nn - n):
-        comp = ribbon_comp_of_cells(right)
-        if comp is not None:
-            direct_right.append((comp, right, hopf.class_of_cells(left)))
-        else:
-            lam = hopf.class_of_cells(right)
-            l_rows.setdefault(lam, {})
-            lc = hopf.class_of_cells(left)
-            l_rows[lam][lc] = l_rows[lam].get(lc, 0) + 1
+    r_rows, direct_left = slice_side(True)
+    l_rows, direct_right = slice_side(False)
 
-    one_key_left_ok = (
-        len(direct_left) == 1
-        and direct_left[0][0] == alpha1
-        and direct_left[0][1] == expected_top
-        and (degenerate or direct_left[0][2] == hopf.shape_class(rhs_shape))
-    )
-    one_key_right_ok = (
-        len(direct_right) == 1
-        and direct_right[0][0] == alpha2
-        and direct_right[0][1] == expected_bottom
-        and (degenerate or direct_right[0][2] == hopf.shape_class(lhs_shape))
-    )
+    def one_key(direct, alpha, footprint, alpha_cell, other) -> bool:
+        """One direct term: alpha on the key footprint of alpha_cell's gamma copy.
+
+        Outside the degenerate case its partner is the class of other.
+        """
+        if len(direct) != 1:
+            return False
+        comp, cells, partner = direct[0]
+        (dr, dc), (sr, sc) = offsets[alpha_cell], shift
+        return (
+            comp == alpha
+            and cells == translate_cells(footprint, (dr + sr, dc + sc))
+            and (degenerate or partner == hopf.shape_class(other))
+        )
+
+    corner = (len(s_parts) - 1, s_parts[-1] - 1)
+    one_key_left_ok = one_key(direct_left, alpha1, keys.top_footprint, (0, 0), rhs_shape)
+    one_key_right_ok = one_key(direct_right, alpha2, keys.bottom_footprint, corner, lhs_shape)
     extra_left = tuple((c, cells) for c, cells, _ in direct_left if c != alpha1)
     extra_right = tuple((c, cells) for c, cells, _ in direct_right if c != alpha2)
 

@@ -214,8 +214,25 @@ def test_trace_outside_theorem_reports_without_trace(capsys, gamma, code):
             1,
             "931c46d86628062235ef07c335a1617a44aca1a08e90feddca71d3d8c1d3a405",
         ),
+        (
+            ("--beta", "2,1", "--gamma", "3,2/1"),
+            0,
+            "81ae78c45303a15c4d4ff85bcf589ef1ae8a98f3f81eea69b32e861bea762082",
+        ),
+        (
+            ("--beta", "2,1", "--gamma", "3"),
+            0,
+            "3b9cbb3dedc9c4123bc0386ded5902b0c623699954c344c2f54c435a97543e86",
+        ),
     ],
-    ids=["landmark-rr", "landmark-uu", "degenerate", "counterexample"],
+    ids=[
+        "landmark-rr",
+        "landmark-uu",
+        "degenerate",
+        "counterexample",
+        "dependent-seeds",
+        "equal-keys",
+    ],
 )
 def test_trace_json_golden_digest(capsys, extra, code, digest):
     # the trace JSON is part of the output contract: pinned byte for byte
@@ -265,6 +282,17 @@ def test_out_of_memory_exit_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [("expand", "1000"), ("expand", "1000", "--vars", "1")], ids=["schur", "monomials"]
+)
+def test_recursion_limit_exit_2(capsys, argv):
+    # a 1000-box row recurses past the interpreter's limit: refused, not "differ"
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input too large: ") and err.count("\n") == 1
 
 
 class _ClosedPipe(io.StringIO):

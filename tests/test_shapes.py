@@ -295,6 +295,27 @@ class TestEnumerations:
             }
             assert {s.cells for s in connected_shapes(n)} == direct
 
+    @pytest.mark.parametrize("box", [0, 1, 2, 3, 4, 5])
+    def test_box_family_is_the_full_walk_once(self, box):
+        # reference: every mu inside every lambda in the box, normalized by SkewShape
+        def inners(lam, i, bound):
+            if i == len(lam):
+                yield ()
+                return
+            for part in range(min(bound, lam[i]), -1, -1):
+                for rest in inners(lam, i + 1, part):
+                    yield (part,) + rest
+
+        walk = {
+            SkewShape(lam, tuple(m for m in mu if m))
+            for lam in partitions_in_box(box, box)
+            for mu in inners(lam, 0, box)
+        }
+        for max_cells in sorted({0, 1, 2, 3, 5, 8, box * box}):
+            got = list(box_bounded_shapes(max_cells, box))
+            assert len(got) == len(set(got))
+            assert set(got) == {s for s in walk if s.size <= max_cells}
+
     def test_partitions_in_box(self):
         assert sorted(partitions_in_box(2, 2)) == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
 

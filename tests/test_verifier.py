@@ -1,11 +1,12 @@
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
 from schurhopf import hopf, verifier
 from schurhopf.schur import connected_ribbons_of_size, multiply, schur_expand
-from schurhopf.shapes import parse_shape, ribbon_shape, skew_from_cells
+from schurhopf.shapes import parse_shape, partitions_of, ribbon_shape, skew_from_cells
 from schurhopf.verifier import (
     BadBetaError,
     DegreeMismatchError,
@@ -47,6 +48,8 @@ class TestRibbonBasis:
     def test_dependent_required(self):
         with pytest.raises(DependentRequiredError):
             ribbon_basis(3, ((1, 2), (2, 1)))
+        with pytest.raises(DependentRequiredError):
+            ribbon_basis(1, ((1,), (1,)))  # a seed past a full basis is dependent too
 
     def test_matrix_rows_match_expansions(self):
         basis = ribbon_basis(4)
@@ -72,6 +75,73 @@ def _fraction_solve(basis, coeffs):
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return tuple(aug[r][p] for r in range(p))
+
+
+def _greedy_basis(n, required=()):
+    """Reference: greedy selection by Fraction row reduction, then a separate inverse."""
+    order = tuple(sorted(partitions_of(n), reverse=True))
+
+    def vector(comp):
+        f = schur_expand(ribbon_shape(comp)).as_dict()
+        return tuple(f.get(p, 0) for p in order)
+
+    chosen, rows, pivots = [], [], []
+
+    def try_add(comp):
+        work = [Fraction(x) for x in vector(comp)]
+        for row, piv in zip(rows, pivots):
+            if work[piv]:
+                factor = work[piv] / row[piv]
+                work = [a - factor * b for a, b in zip(work, row)]
+        piv = next((j for j, x in enumerate(work) if x), None)
+        if piv is None:
+            return False
+        chosen.append(tuple(comp))
+        rows.append(work)
+        pivots.append(piv)
+        return True
+
+    for comp in required:
+        if not try_add(comp):
+            raise DependentRequiredError(comp)
+    for comp in connected_ribbons_of_size(n):
+        if len(chosen) < len(order) and comp not in chosen:
+            try_add(comp)
+    matrix = tuple(vector(c) for c in chosen)
+    p = len(order)
+    aug = [
+        [Fraction(matrix[i][j]) for i in range(p)] + [Fraction(int(i == j)) for i in range(p)]
+        for j in range(p)
+    ]
+    for col in range(p):
+        piv = next(r for r in range(col, p) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(p):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    d = lcm(*(x.denominator for row in aug for x in row[p:]))
+    solver = tuple(tuple(x.numerator * (d // x.denominator) for x in row[p:]) for row in aug)
+    return verifier.RibbonBasis(n, tuple(chosen), order, matrix, solver, d)
+
+
+class TestOneElimination:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_greedy_selection_and_inverse(self, n):
+        # no seed, each single seed and each seed pair: same basis or same refusal
+        comps = connected_ribbons_of_size(n)
+        dependent = 0
+        for seeds in [()] + [(c,) for c in comps] + list(combinations(comps, 2)):
+            try:
+                expected = _greedy_basis(n, seeds)
+            except DependentRequiredError:
+                dependent += 1
+                with pytest.raises(DependentRequiredError):
+                    ribbon_basis(n, seeds)
+                continue
+            assert ribbon_basis(n, seeds) == expected, seeds
+        assert dependent > 0 or n < 3
 
 
 class TestIntegerSolver:
@@ -279,13 +349,13 @@ class TestIntegerTrace:
     def test_denominator_above_one_renders_the_same(self, monkeypatch, positive_structure):
         # every small basis has D == 1; double A and D to run the general path
         expected = proof_trace((2, 1), positive_structure).to_json()
-        real = verifier._integer_inverse_transpose
+        real = verifier._scale_to_integers
 
-        def doubled(matrix):
-            solver, d = real(matrix)
+        def doubled(rows):
+            solver, d = real(rows)
             return tuple(tuple(2 * x for x in row) for row in solver), 2 * d
 
-        monkeypatch.setattr(verifier, "_integer_inverse_transpose", doubled)
+        monkeypatch.setattr(verifier, "_scale_to_integers", doubled)
         trace = proof_trace((2, 1), positive_structure)
         assert trace.denominator == 2
         assert trace.cocommutativity_assertions_hold() and trace.signed_column_ok
