@@ -244,6 +244,12 @@ def rotate180(shape: SkewShape) -> SkewShape:
     return SkewShape(outer, tuple(width - lam for lam in reversed(shape.outer)))
 
 
+def half_turn(cells, corner: Cell) -> frozenset[Cell]:
+    """Rotate cells half a turn inside the box from (0, 0) to corner."""
+    mr, mc = corner
+    return frozenset((mr - r, mc - c) for r, c in cells)
+
+
 def transpose(shape: SkewShape) -> SkewShape:
     """Reflect a shape across the main diagonal (conjugate shape)."""
     return skew_from_cells((c, r) for r, c in shape.cells)
@@ -365,12 +371,10 @@ def _placements(w: SkewShape, a: SkewShape, target: Cell) -> list[frozenset[Cell
     wcells = w.cells
     acells = a.cells
     out = []
-    seen = set()
+    # each cell of w gives a different translation, hence a different set
     for r0, c0 in wcells:
-        dr, dc = target[0] - r0, target[1] - c0
-        placed = frozenset((r + dr, c + dc) for r, c in wcells)
-        if placed not in seen and placed <= acells:
-            seen.add(placed)
+        placed = translate_cells(wcells, (target[0] - r0, target[1] - c0))
+        if placed <= acells:
             out.append(placed)
     out.sort(key=lambda s: tuple(sorted(s)))
     return out

@@ -25,13 +25,14 @@ from .shapes import (
     connected_skew,
     diagonal,
     format_shape,
+    half_turn,
     is_connected,
     is_connected_skew,
     lies_in_bottom,
     lies_in_top,
     ne_box,
-    neighbors,
     rim_ribbon,
+    rotate180,
     ribbon_composition_of,
     shape_sort_key,
     skew_from_cells,
@@ -157,104 +158,92 @@ def _adjacency_holds(o_cells, upper_w, lower_w, orientation) -> bool:
     return (r1 + 1, c1) in lower_w and (r2 - 1, c2) in upper_w
 
 
-def _connected_subsets(cells, anchor, max_size):
-    """Connected subsets of cells containing anchor, each yielded once.
+def _top_placements(gamma: SkewShape):
+    """Connected skew sub-shapes of gamma holding its NE box, each once.
 
-    Polynomial-delay enumeration: at each step the first frontier cell is
-    either included or banned for the rest of the branch.
+    A placement is a stack of row spans: row 0 is [lo, lambda_0 - 1] and
+    each next row [l, h] lies in gamma's row with l <= lo <= h <= hi.  It
+    has at most (|gamma| - 1) // 2 cells and is yielded when the rest of
+    gamma is a connected skew shape.  A row touching neither end of
+    gamma's row splits the rest's row in two, and every deeper placement
+    keeps that row, so its branch is cut.
     """
+    cells = gamma.cells
+    lam, mu = gamma.outer, gamma.padded_inner
+    max_w = (gamma.size - 1) // 2
 
-    def rec(current: set, frontier: list, banned: set):
-        yield frozenset(current)
-        if len(current) >= max_size:
+    def rec(r, lo, hi, placed):
+        if is_connected_skew(cells - placed):
+            yield placed
+        r += 1
+        if r == len(lam):
             return
-        for idx, cand in enumerate(frontier):
-            new_banned = banned | set(frontier[: idx + 1])
-            current.add(cand)
-            tail = frontier[idx + 1 :]
-            tail_set = set(tail)
-            grown = tail + [
-                nb
-                for nb in neighbors(cand)
-                if nb in cells
-                and nb not in current
-                and nb not in new_banned
-                and nb not in tail_set
-            ]
-            yield from rec(current, grown, new_banned)
-            current.remove(cand)
+        for h in range(lo, min(hi, lam[r] - 1) + 1):
+            for l in range(lo, mu[r] - 1, -1):
+                if len(placed) + h - l + 1 > max_w:
+                    break
+                if l == mu[r] or h == lam[r] - 1:
+                    row = frozenset((r, c) for c in range(l, h + 1))
+                    yield from rec(r, l, h, placed | row)
 
-    start = [nb for nb in neighbors(anchor) if nb in cells]
-    yield from rec({anchor}, start, set())
+    hi = lam[0] - 1
+    for lo in range(hi, max(mu[0], hi + 1 - max_w) - 1, -1):
+        yield from rec(0, lo, hi, frozenset((0, c) for c in range(lo, hi + 1)))
+
+
+def _index(placements):
+    """Placements grouped by canonical cells and by diagonal span."""
+    by_shape: dict[frozenset, list] = {}
+    by_span: dict[tuple[int, int], list] = {}
+    for placed in placements:
+        diagonals = [diagonal(c) for c in placed]
+        span = (min(diagonals), max(diagonals))
+        by_shape.setdefault(canonicalize_cells(placed), []).append((placed, span))
+        by_span.setdefault(span, []).append(placed)
+    return by_shape, by_span
 
 
 def detect_wow(gamma: SkewShape) -> list[WowStructure]:
     """All valid structures on gamma, largest W first.
 
-    Candidate W placements are connected valid-shape subsets containing
-    the extreme box whose removal leaves a connected shape; pairs of
-    matching top and bottom placements are filtered through the axioms
-    and then through maximality (no strictly larger W on the same
-    diagonals with both placements intact).
+    W placements are the connected skew sub-shapes of at most
+    (|gamma| - 1) // 2 cells holding the extreme box whose removal leaves
+    a connected shape; the bottom ones are the half-turns of the top ones
+    of the rotated gamma.  Pairs of matching top and bottom placements are
+    filtered through the axioms and then through maximality: no strictly
+    larger W on the same diagonals with both placements intact.  The cap
+    loses no larger W, since two disjoint copies with a diagonal of gamma
+    between them never hold more than that many cells each.
     """
     if gamma.size == 0:
         return []
     if not is_connected(gamma):
         raise DisconnectedError("detect_wow requires a connected gamma")
     cells = gamma.cells
-    max_w = (gamma.size - 1) // 2
+    corner = (len(gamma.outer) - 1, gamma.outer[0] - 1)
+    tops, top_spans = _index(_top_placements(gamma))
+    bottoms, bottom_spans = _index(
+        half_turn(p, corner) for p in _top_placements(rotate180(gamma))
+    )
 
-    def placement_pool(anchor):
-        # placements keyed by their canonical cells: equal keys are translates
-        pool: dict[frozenset, set[frozenset]] = {}
-        for subset in _connected_subsets(cells, anchor, max_w):
-            if is_connected_skew(subset) and is_connected_skew(cells - subset):
-                pool.setdefault(canonicalize_cells(subset), set()).add(subset)
-        return pool
+    def maximal(t, t_span, b, b_span):
+        bigger_tops = {canonicalize_cells(t2) for t2 in top_spans[t_span] if t2 > t}
+        return not any(
+            b2 > b and canonicalize_cells(b2) in bigger_tops for b2 in bottom_spans[b_span]
+        )
 
-    tops = placement_pool(ne_box(cells))
-    bottoms = placement_pool(sw_box(cells))
-
-    candidates = []
-    for key in sorted(tops.keys() & bottoms.keys(), key=sorted):
-        for t in sorted(tops[key], key=sorted):
-            for b in sorted(bottoms[key], key=sorted):
-                if min(diagonal(c) for c in b) - max(diagonal(c) for c in t) < 2:
+    out = []
+    for key in tops.keys() & bottoms.keys():
+        for t, t_span in tops[key]:
+            for b, b_span in bottoms[key]:
+                if b_span[0] - t_span[1] < 2:
                     continue
                 o = cells - t - b
                 if not is_connected_skew(o):
                     continue
-                for orientation in (RR, UU):
-                    if _adjacency_holds(o, t, b, orientation):
-                        candidates.append((orientation, t, b))
-
-    def valid_extensions(placed):
-        """Supersets of placed on the same diagonals, both axioms 1-2 intact."""
-        band = {
-            c
-            for c in cells
-            if diagonal(c) in {diagonal(x) for x in placed} and c not in placed
-        }
-        extras = sorted(band)
-        out = []
-        for mask in range(1, 1 << len(extras)):
-            extended = frozenset(placed | {extras[i] for i in range(len(extras)) if mask >> i & 1})
-            if not (is_connected_skew(extended) and is_connected_skew(cells - extended)):
-                continue
-            out.append(extended)
-        return out
-
-    def maximal(t, b):
-        bigger_tops = {canonicalize_cells(t2) for t2 in valid_extensions(t)}
-        if not bigger_tops:
-            return True
-        bigger_bottoms = {canonicalize_cells(b2) for b2 in valid_extensions(b)}
-        return not (bigger_tops & bigger_bottoms)
-
-    out = []
-    for orientation, t, b in candidates:
-        if maximal(t, b):
-            out.append(WowStructure(gamma, orientation, t, b))
+                orientations = [x for x in (RR, UU) if _adjacency_holds(o, t, b, x)]
+                if orientations and maximal(t, t_span, b, b_span):
+                    out.extend(WowStructure(gamma, x, t, b) for x in orientations)
     out.sort(
         key=lambda s: (-len(s.upper_w), s.orientation, sorted(s.upper_w), sorted(s.lower_w))
     )
@@ -457,20 +446,14 @@ def rotate_structure(structure: WowStructure) -> WowStructure:
     rotation carries each condition onto its partner, so the orientation
     label is preserved.
     """
-    cells = structure.gamma.cells
-    mr = max(r for r, _ in cells)
-    mc = max(c for _, c in cells)
-
-    def rot(cs):
-        return frozenset((mr - r, mc - c) for r, c in cs)
-
-    gamma2 = skew_from_cells(rot(cells))
-    upper2 = rot(structure.lower_w)
-    lower2 = rot(structure.upper_w)
-    o2 = rot(structure.o_cells)
+    gamma = structure.gamma
+    corner = (len(gamma.outer) - 1, gamma.outer[0] - 1)
+    upper2 = half_turn(structure.lower_w, corner)
+    lower2 = half_turn(structure.upper_w, corner)
+    o2 = half_turn(structure.o_cells, corner)
     for orientation in (structure.orientation, RR, UU):
         if _adjacency_holds(o2, upper2, lower2, orientation):
-            return WowStructure(gamma2, orientation, upper2, lower2)
+            return WowStructure(rotate180(gamma), orientation, upper2, lower2)
     raise StructureError("rotated structure satisfies neither orientation")
 
 

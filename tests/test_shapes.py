@@ -13,6 +13,7 @@ from schurhopf.shapes import (
     diagonal,
     direct_sum,
     format_shape,
+    half_turn,
     is_connected,
     is_ribbon,
     lies_in_bottom,
@@ -132,6 +133,12 @@ class TestRotate180:
         for text in ["4,1,1/3,1", "5,2/4", "3,3,1,1/3,1,1", "6,3,1/5,2"]:
             shape = parse_shape(text)
             assert rotate180(rotate180(shape)) == shape
+
+    def test_half_turn_of_cells_matches(self):
+        for shape in box_bounded_shapes(6, 5):
+            if shape.size:
+                corner = (len(shape.outer) - 1, shape.outer[0] - 1)
+                assert half_turn(shape.cells, corner) == rotate180(shape).cells
 
 
 class TestConnectivity:

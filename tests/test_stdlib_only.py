@@ -1,7 +1,9 @@
-"""The library imports nothing outside the standard library and itself."""
+"""The library imports nothing outside the standard library and itself,
+and parses under the oldest Python that pyproject.toml admits."""
 
 import ast
 import pathlib
+import re
 import sys
 
 import pytest
@@ -9,6 +11,12 @@ import pytest
 import schurhopf
 
 SOURCES = sorted(pathlib.Path(schurhopf.__file__).parent.glob("*.py"))
+PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+# the requires-python floor, e.g. ">=3.10" -> (3, 10)
+FLOOR = tuple(
+    int(x)
+    for x in re.search(r'requires-python\s*=\s*">=(\d+)\.(\d+)"', PYPROJECT.read_text()).groups()
+)
 
 
 def _imported_roots(tree):
@@ -27,7 +35,7 @@ def test_sources_found():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_are_stdlib_or_schurhopf(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
     foreign = {
         root
         for root in _imported_roots(tree)

@@ -3,11 +3,17 @@ import pytest
 from schurhopf import wow
 from schurhopf.shapes import (
     SkewShape,
+    canonicalize_cells,
     connected_shapes,
+    diagonal,
     format_shape,
+    is_connected_skew,
+    ne_box,
+    neighbors,
     parse_shape,
     rotate180,
     skew_from_cells,
+    sw_box,
 )
 from schurhopf.verifier import proof_trace, verify_main_theorem
 from schurhopf.wow import (
@@ -85,6 +91,86 @@ class TestDetect:
         gamma = shp("4,4,2,2/2,1")
         with pytest.raises(StructureError):
             WowStructure(gamma, RR, frozenset(upper), frozenset(lower))
+
+
+def _connected_subsets(cells, anchor, max_size):
+    """Reference: every connected subset of cells holding anchor, each once."""
+
+    def rec(current: set, frontier: list, banned: set):
+        yield frozenset(current)
+        if len(current) >= max_size:
+            return
+        for idx, cand in enumerate(frontier):
+            new_banned = banned | set(frontier[: idx + 1])
+            current.add(cand)
+            tail = frontier[idx + 1 :]
+            grown = tail + [
+                nb
+                for nb in neighbors(cand)
+                if nb in cells and nb not in current and nb not in new_banned and nb not in tail
+            ]
+            yield from rec(current, grown, new_banned)
+            current.remove(cand)
+
+    yield from rec({anchor}, [nb for nb in neighbors(anchor) if nb in cells], set())
+
+
+def _reference_detect(gamma):
+    """Reference: the polyomino walk, filtered, with maximality over all 2^|band| extensions."""
+    cells = gamma.cells
+    max_w = (gamma.size - 1) // 2
+
+    def pool(anchor):
+        out = {}
+        for subset in _connected_subsets(cells, anchor, max_w):
+            if is_connected_skew(subset) and is_connected_skew(cells - subset):
+                out.setdefault(canonicalize_cells(subset), set()).add(subset)
+        return out
+
+    def extensions(placed):
+        diagonals = {diagonal(x) for x in placed}
+        extras = sorted(c for c in cells if diagonal(c) in diagonals and c not in placed)
+        for mask in range(1, 1 << len(extras)):
+            extended = placed | {extras[i] for i in range(len(extras)) if mask >> i & 1}
+            if is_connected_skew(extended) and is_connected_skew(cells - extended):
+                yield canonicalize_cells(extended)
+
+    tops, bottoms = pool(ne_box(cells)), pool(sw_box(cells))
+    out = []
+    for key in sorted(tops.keys() & bottoms.keys(), key=sorted):
+        for t in sorted(tops[key], key=sorted):
+            for b in sorted(bottoms[key], key=sorted):
+                if min(diagonal(c) for c in b) - max(diagonal(c) for c in t) < 2:
+                    continue
+                o = cells - t - b
+                if not is_connected_skew(o):
+                    continue
+                for orientation in (RR, UU):
+                    if not wow._adjacency_holds(o, t, b, orientation):
+                        continue
+                    bigger_tops = set(extensions(t))
+                    if not bigger_tops or not bigger_tops & set(extensions(b)):
+                        out.append(WowStructure(gamma, orientation, t, b))
+    out.sort(
+        key=lambda s: (-len(s.upper_w), s.orientation, sorted(s.upper_w), sorted(s.lower_w))
+    )
+    return out
+
+
+class TestAgainstSubsetWalk:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_connected_gamma(self, n):
+        for gamma in connected_shapes(n):
+            assert detect_wow(gamma) == _reference_detect(gamma), format_shape(gamma)
+
+    def test_square(self):
+        gamma = shp("5,5,5,5,5")
+        assert detect_wow(gamma) == _reference_detect(gamma) == []
+
+    @pytest.mark.parametrize("text", ["6,6,6,6,6,6", "9,8,8,7,6,5,4/3,2,1"])
+    def test_fat_gamma_has_none(self, text):
+        # the subset walk takes more than a minute on the 6x6 square
+        assert detect_wow(shp(text)) == []
 
 
 class TestAmalgamation:
