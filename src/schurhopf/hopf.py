@@ -346,12 +346,8 @@ def image_cocommutativity(shape: SkewShape, slice_size: int | None = None) -> bo
                 buckets[p][big] = buckets[p].get(big, 0) + c
         return buckets
 
-    if small_is_left:
-        lhs = bucket(coproduct_slice(shape, k), True)
-        rhs = bucket(coproduct_slice(shape, n - k), False)
-    else:
-        lhs = bucket(coproduct_slice(shape, k), False)
-        rhs = bucket(coproduct_slice(shape, n - k), True)
+    lhs = bucket(coproduct_slice(shape, k), small_is_left)
+    rhs = bucket(coproduct_slice(shape, n - k), not small_is_left)
     keys = set(lhs) | set(rhs)
     return all(
         _combos_equal_as_symfuncs(lhs.get(p, {}), rhs.get(p, {})) for p in keys

@@ -251,8 +251,12 @@ def half_turn(cells, corner: Cell) -> frozenset[Cell]:
 
 
 def transpose(shape: SkewShape) -> SkewShape:
-    """Reflect a shape across the main diagonal (conjugate shape)."""
-    return skew_from_cells((c, r) for r, c in shape.cells)
+    """Reflect a shape across the main diagonal: conjugate lambda and mu."""
+
+    def conjugate(part):
+        return tuple(sum(p > j for p in part) for j in range(part[0] if part else 0))
+
+    return SkewShape(conjugate(shape.outer), conjugate(shape.inner))
 
 
 def neighbors(cell: Cell):

@@ -4,8 +4,8 @@ A structure records a connected shape gamma together with two designated
 translates of a connected shape W, one in the top (containing the
 northeasternmost box) and one in the bottom, separated by at least one
 diagonal, whose removal singly or jointly leaves connected shapes, with
-the orientation-specific adjacency between O and the W copies, and with
-W maximal on its diagonals.
+the orientation-specific adjacency between O and the W copies.  W is
+then maximal on its diagonals; detect_wow's docstring proves it.
 """
 
 from __future__ import annotations
@@ -66,16 +66,9 @@ class WowStructure:
         self._validate()
 
     @cached_property
-    def o_shape(self) -> SkewShape:
-        return skew_from_cells(self.o_cells)
-
-    @cached_property
     def amalg_shift(self) -> Cell:
         """Translation taking the lower W copy onto the upper one."""
-        ur = min(r for r, _ in self.upper_w)
-        uc = min(c for _, c in self.upper_w)
-        lr = min(r for r, _ in self.lower_w)
-        lc = min(c for _, c in self.lower_w)
+        (ur, uc), (lr, lc) = min(self.upper_w), min(self.lower_w)
         return (ur - lr, uc - lc)
 
     @cached_property
@@ -149,8 +142,6 @@ class WowStructure:
 
 
 def _adjacency_holds(o_cells, upper_w, lower_w, orientation) -> bool:
-    if not o_cells:
-        return False
     r1, c1 = sw_box(o_cells)
     r2, c2 = ne_box(o_cells)
     if orientation == RR:
@@ -192,28 +183,57 @@ def _top_placements(gamma: SkewShape):
 
 
 def _index(placements):
-    """Placements grouped by canonical cells and by diagonal span."""
+    """Placements grouped by canonical cells, each with its diagonal span."""
     by_shape: dict[frozenset, list] = {}
-    by_span: dict[tuple[int, int], list] = {}
     for placed in placements:
         diagonals = [diagonal(c) for c in placed]
         span = (min(diagonals), max(diagonals))
         by_shape.setdefault(canonicalize_cells(placed), []).append((placed, span))
-        by_span.setdefault(span, []).append(placed)
-    return by_shape, by_span
+    return by_shape
 
 
 def detect_wow(gamma: SkewShape) -> list[WowStructure]:
     """All valid structures on gamma, largest W first.
 
-    W placements are the connected skew sub-shapes of at most
-    (|gamma| - 1) // 2 cells holding the extreme box whose removal leaves
-    a connected shape; the bottom ones are the half-turns of the top ones
-    of the rotated gamma.  Pairs of matching top and bottom placements are
-    filtered through the axioms and then through maximality: no strictly
-    larger W on the same diagonals with both placements intact.  The cap
-    loses no larger W, since two disjoint copies with a diagonal of gamma
-    between them never hold more than that many cells each.
+    Tops t are the connected skew sub-shapes of at most (|gamma| - 1) // 2
+    cells that hold gamma's NE box and leave a connected skew shape (two
+    copies with a diagonal of gamma between them never hold more); bottoms
+    b are the half-turns of the rotated gamma's tops.  A t and b of one
+    shape, on diagonals up to t1 and from b0 >= t1 + 2, need only an
+    orientation's adjacency, as proved below.  Here diagonal(r, c) = r - c,
+    and the product order x <= y runs NW to SE along a diagonal.
+
+    Lemma 1: O is a nonempty connected skew shape.  A finite cell set is
+    skew iff convex in the product order, and then connected iff its
+    diagonals form an interval.  O = (gamma - t) & (gamma - b) is convex.
+    It holds all of gamma on (t1, b0), and agrees with gamma - t below b0
+    and with gamma - b above t1, whose diagonals are intervals through
+    t1 + 1 and b0 - 1 respectively.
+
+    Lemma 2: for RR each cell of gamma - t on a diagonal of t (so in O)
+    lies NW of t's cells there, and each of gamma - b on a diagonal of b
+    lies SE of b's; for UU the sides swap.  Proof for the RR top: t's rows
+    0..m are [l_r, h_r] with l_r <= l_(r-1) <= h_r, each touching an end
+    of gamma's row as gamma - t is skew, so O lies wholly left or right of
+    t in each.  Adjacency puts (r2, c2 + 1) in t for O's NE box (r2, c2),
+    on O's top row.  O left of t in row r - 1 and right in row r would
+    start its row r past h_r >= l_(r-1), beyond its whole row r - 1, which
+    no skew shape does; so O lies left of t in every row of t it meets.
+    Let x = (r + k, c + k) in O, k > 0, lie SE of z = (r, c) in t.  If
+    r < r2, then c >= l_r >= l_(r2) > c2 >= c + k, as O's rows end weakly
+    left of c2.  Otherwise O meets row r, between r2 and r + k, in a cell
+    y left of z, and y <= z <= x puts z in the convex gamma - t.  The
+    half-turn (rotate_structure keeps RR) reverses each diagonal and gives
+    the bottom; the transpose keeps that order and turns UU into RR,
+    swapping t and b.
+
+    Maximality follows: let t' and b' be copies of a larger W' with t' > t
+    and b' > b strictly, on the same diagonals.  The translations b -> t
+    and b' -> t' move diagonals alike, so they differ by some (k, k), and
+    t' holds t + (k, k) while b' holds b - (k, k).  As t holds the NE box
+    and b the SW box, k > 0 puts t' past gamma's last column and k < 0
+    puts b' past its last row.  So k = 0, and t' - t, the translate of
+    b' - b, lies both NW and SE of t's cells on its diagonals by Lemma 2.
     """
     if gamma.size == 0:
         return []
@@ -221,29 +241,17 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
         raise DisconnectedError("detect_wow requires a connected gamma")
     cells = gamma.cells
     corner = (len(gamma.outer) - 1, gamma.outer[0] - 1)
-    tops, top_spans = _index(_top_placements(gamma))
-    bottoms, bottom_spans = _index(
-        half_turn(p, corner) for p in _top_placements(rotate180(gamma))
-    )
-
-    def maximal(t, t_span, b, b_span):
-        bigger_tops = {canonicalize_cells(t2) for t2 in top_spans[t_span] if t2 > t}
-        return not any(
-            b2 > b and canonicalize_cells(b2) in bigger_tops for b2 in bottom_spans[b_span]
-        )
-
+    tops = _index(_top_placements(gamma))
+    bottoms = _index(half_turn(p, corner) for p in _top_placements(rotate180(gamma)))
     out = []
     for key in tops.keys() & bottoms.keys():
         for t, t_span in tops[key]:
             for b, b_span in bottoms[key]:
-                if b_span[0] - t_span[1] < 2:
-                    continue
-                o = cells - t - b
-                if not is_connected_skew(o):
-                    continue
-                orientations = [x for x in (RR, UU) if _adjacency_holds(o, t, b, x)]
-                if orientations and maximal(t, t_span, b, b_span):
-                    out.extend(WowStructure(gamma, x, t, b) for x in orientations)
+                if b_span[0] - t_span[1] >= 2:
+                    o = cells - t - b
+                    for x in (RR, UU):
+                        if _adjacency_holds(o, t, b, x):
+                            out.append(WowStructure(gamma, x, t, b))
     out.sort(
         key=lambda s: (-len(s.upper_w), s.orientation, sorted(s.upper_w), sorted(s.lower_w))
     )
@@ -267,9 +275,8 @@ def amalgamate(
         raise ValueError("w does not lie in the top of a1 at the given placement")
     if bottom_placement not in lies_in_bottom(w, a2):
         raise ValueError("w does not lie in the bottom of a2 at the given placement")
-    dr = min(r for r, _ in top_placement) - min(r for r, _ in bottom_placement)
-    dc = min(c for _, c in top_placement) - min(c for _, c in bottom_placement)
-    moved = translate_cells(a2.cells, (dr, dc))
+    (tr, tc), (br, bc) = min(top_placement), min(bottom_placement)
+    moved = translate_cells(a2.cells, (tr - br, tc - bc))
     union = a1.cells | moved
     if a1.cells & moved != top_placement:
         raise NotSkewError("amalgamation overlap is not exactly the W copy")
@@ -417,44 +424,36 @@ def has_loose_end_ribbons(structure: WowStructure) -> LooseEnds:
         spots = [index_map[c] for c in cells]
         return min(spots), max(spots)
 
-    top_window = window(nw, keys.top_footprint)
-    bottom_window = window(se, keys.bottom_footprint)
-    witnesses = []
-    for comp, cells in hopf.removable_ribbons(gamma, n, "left"):
-        start, end = window(nw, cells)
-        if structure.orientation == RR:
-            if start < top_window[0]:
-                witnesses.append((comp, cells))
-        else:
-            if end > top_window[1]:
-                witnesses.append((comp, cells))
-    for comp, cells in hopf.removable_ribbons(gamma, n, "right"):
-        start, end = window(se, cells)
-        if structure.orientation == RR:
-            if end > bottom_window[1]:
-                witnesses.append((comp, cells))
-        else:
-            if start < bottom_window[0]:
-                witnesses.append((comp, cells))
+    def beyond(side, index_map, footprint, before):
+        key_start, key_end = window(index_map, footprint)
+        for comp, cells in hopf.removable_ribbons(gamma, n, side):
+            start, end = window(index_map, cells)
+            if (start < key_start) if before else (end > key_end):
+                yield comp, cells
+
+    rr = structure.orientation == RR
+    witnesses = [
+        *beyond("left", nw, keys.top_footprint, rr),
+        *beyond("right", se, keys.bottom_footprint, not rr),
+    ]
     return LooseEnds(bool(witnesses), tuple(witnesses))
 
 
 def rotate_structure(structure: WowStructure) -> WowStructure:
     """Half-turn of the whole structure; the W roles swap ends.
 
-    The literal adjacency conditions are re-derived on the rotated data;
-    rotation carries each condition onto its partner, so the orientation
-    label is preserved.
+    The half-turn carries O's SW box to the rotated O's NE box and a left
+    or lower neighbour to a right or upper one, so each adjacency condition
+    maps onto its partner and the orientation is kept.
     """
     gamma = structure.gamma
     corner = (len(gamma.outer) - 1, gamma.outer[0] - 1)
-    upper2 = half_turn(structure.lower_w, corner)
-    lower2 = half_turn(structure.upper_w, corner)
-    o2 = half_turn(structure.o_cells, corner)
-    for orientation in (structure.orientation, RR, UU):
-        if _adjacency_holds(o2, upper2, lower2, orientation):
-            return WowStructure(rotate180(gamma), orientation, upper2, lower2)
-    raise StructureError("rotated structure satisfies neither orientation")
+    return WowStructure(
+        rotate180(gamma),
+        structure.orientation,
+        half_turn(structure.lower_w, corner),
+        half_turn(structure.upper_w, corner),
+    )
 
 
 def wow_catalog(max_size: int):

@@ -287,6 +287,11 @@ class TestTranspose:
     def test_column_row(self):
         assert transpose(shp("1,1,1")) == shp("3")
 
+    def test_reflects_cells(self):
+        # conjugating lambda and mu is the cell reflection (r, c) -> (c, r)
+        for shape in box_bounded_shapes(6, 6):
+            assert transpose(shape) == skew_from_cells((c, r) for r, c in shape.cells)
+
 
 class TestEnumerations:
     def test_connected_counts(self):

@@ -44,7 +44,7 @@ class TestDetect:
         assert st.upper_w == {(0, 3), (1, 3)}
         assert st.lower_w == {(2, 0), (3, 0)}
         assert format_shape(st.w_shape) == "1,1"
-        assert format_shape(st.o_shape) == "2,2,1,1/1"
+        assert format_shape(skew_from_cells(st.o_cells)) == "2,2,1,1/1"
 
     def test_transpose_symmetric_gamma_also_has_uu(self):
         structures = detect_wow(shp("4,4,2,2/2,1"))
@@ -155,6 +155,35 @@ def _reference_detect(gamma):
         key=lambda s: (-len(s.upper_w), s.orientation, sorted(s.upper_w), sorted(s.lower_w))
     )
     return out
+
+
+def _sides(w, rest):
+    """Where the cells of rest on w's diagonals lie along them: "NW", "SE" or "between"."""
+    w_rows = {}
+    for r, c in w:
+        w_rows.setdefault(r - c, []).append(r)
+    sides = set()
+    for r, c in rest:
+        rows = w_rows.get(r - c)
+        if rows:
+            sides.add("NW" if r < min(rows) else "SE" if r > max(rows) else "between")
+    return sides
+
+
+class TestSides:
+    def test_rest_of_gamma_meets_w_diagonals_on_one_side(self, catalog10):
+        # Lemma 2 of detect_wow: for RR the rest of gamma meets upper W's
+        # diagonals only northwest of it and lower W's only southeast of it;
+        # for UU the sides swap
+        seen = {RR: set(), UU: set()}
+        for st, _, _ in catalog10:
+            top = _sides(st.upper_w, st.gamma.cells - st.upper_w)
+            bottom = _sides(st.lower_w, st.gamma.cells - st.lower_w)
+            expected = ({"NW"}, {"SE"}) if st.orientation == RR else ({"SE"}, {"NW"})
+            assert top <= expected[0] and bottom <= expected[1], st.describe()
+            seen[st.orientation] |= top | bottom
+        # both sides occur in both orientations, so the check is not vacuous
+        assert seen == {RR: {"NW", "SE"}, UU: {"NW", "SE"}}
 
 
 class TestAgainstSubsetWalk:
