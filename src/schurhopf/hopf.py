@@ -16,13 +16,10 @@ from .shapes import (
     Composition,
     SkewShape,
     connected_components,
-    connected_skew,
     direct_sum,
     format_shape,
-    is_connected,
-    is_ribbon,
-    ribbon_composition_of,
-    rim_ribbon,
+    half_turn,
+    rotate180,
     shape_sort_key,
     skew_from_cells,
 )
@@ -189,11 +186,12 @@ def removable_ribbons(
     side "left": the removed cells form eta/mu for some eta; side
     "right": they form lambda/eta.  Distinct eta give distinct entries.
 
-    A removable connected ribbon can never cover a cell whose diagonal
-    neighbor toward the removal side is still in the shape (a 2x2 would
-    appear), so for a connected shape the candidates are exactly the
-    contiguous windows of the corresponding rim; disconnected shapes fall
-    back to scanning interval splits.
+    Read off lambda/mu: rows r0..r1 of a connected ribbon meet in exactly
+    one column, so each row r > r0 of a left ribbon is [mu_r, mu_(r-1)]
+    and needs mu_(r-1) < lambda_r, and the top row [mu_r0, mu_r0 + a)
+    takes the remaining a cells and needs mu_r0 + a <= lambda_r0 and,
+    below a row r0 - 1, mu_r0 + a <= mu_(r0-1).  The right ribbons are
+    the half-turns of the left ones of the rotated shape.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -201,54 +199,28 @@ def removable_ribbons(
         raise ValueError("ribbon size must be positive")
     if shape.size < n:
         return []
-    if not is_connected(shape):
-        return _removable_ribbons_by_slices(shape, n, side)
-    lam = shape.outer
-    mu = shape.padded_inner
-    rim = rim_ribbon(shape, "NW" if side == "left" else "SE")
-    out = []
-    for start in range(len(rim) - n + 1):
-        window = rim[start : start + n]
-        by_row: dict[int, list[int]] = {}
-        for r, c in window:
-            by_row.setdefault(r, []).append(c)
-        eta = list(mu) if side == "left" else list(lam)
-        ok = True
-        for r, cols in by_row.items():
-            lo, hi = min(cols), max(cols)
-            if hi - lo + 1 != len(cols):
-                ok = False
-                break
-            if side == "left":
-                if lo != mu[r]:
-                    ok = False
-                    break
-                eta[r] = hi + 1
-            else:
-                if hi != lam[r] - 1:
-                    ok = False
-                    break
-                eta[r] = lo
-        if not ok or any(eta[i] < eta[i + 1] for i in range(len(eta) - 1)):
-            continue
-        rows = sorted(by_row)
-        comp = tuple(len(by_row[r]) for r in rows)
-        out.append((comp, frozenset(window)))
-    out.sort(key=lambda item: tuple(sorted(item[1])))
-    return out
-
-
-def _removable_ribbons_by_slices(shape: SkewShape, n: int, side: str):
-    """Reference implementation scanning every interval split."""
-    if side == "left":
-        picked = (left for left, _ in _interval_splits(shape, n))
+    if side == "right":
+        corner = (len(shape.outer) - 1, shape.outer[0] - 1)
+        out = [
+            (comp[::-1], half_turn(cells, corner))
+            for comp, cells in removable_ribbons(rotate180(shape), n, "left")
+        ]
     else:
-        picked = (right for _, right in _interval_splits(shape, shape.size - n))
-    out = []
-    for cells in picked:
-        piece = connected_skew(cells)
-        if piece is not None and is_ribbon(piece):
-            out.append((ribbon_composition_of(piece), cells))
+        lam, mu = shape.outer, shape.padded_inner
+        out = []
+        for r1 in range(len(lam)):
+            r, a, spans = r1, n, []  # the rows below r, top first, as (row, end)
+            while True:
+                if mu[r] + a <= min(lam[r], mu[r - 1] if r else lam[r]):
+                    rows = [(r, mu[r] + a), *spans]
+                    comp = tuple(end - mu[q] for q, end in rows)
+                    cells = frozenset((q, c) for q, end in rows for c in range(mu[q], end))
+                    out.append((comp, cells))
+                if r == 0 or mu[r - 1] >= lam[r] or mu[r - 1] + 1 - mu[r] >= a:
+                    break
+                a -= mu[r - 1] + 1 - mu[r]
+                spans.insert(0, (r, mu[r - 1] + 1))
+                r -= 1
     out.sort(key=lambda item: tuple(sorted(item[1])))
     return out
 
@@ -318,20 +290,12 @@ def image_cocommutativity(shape: SkewShape, slice_size: int | None = None) -> bo
     With slice_size=k only the bidegree (k, n-k) component is compared
     against the swapped (n-k, k) component; the small-side factors are
     expanded in the Schur basis and the large-side factors are compared
-    exactly through the h-basis.
+    exactly through the h-basis.  Without slice_size every bidegree is
+    compared this way.
     """
     n = shape.size
     if slice_size is None:
-        acc: dict = {}
-        for (a, b), m in coproduct(shape).items():
-            fa = class_schur(a)
-            fb = class_schur(b)
-            for pa, ca in fa.coeffs:
-                for pb, cb in fb.coeffs:
-                    key = (pa, pb)
-                    acc[key] = acc.get(key, 0) + m * ca * cb
-        acc = {k: v for k, v in acc.items() if v != 0}
-        return all(acc.get((pb, pa), 0) == v for (pa, pb), v in acc.items())
+        return all(image_cocommutativity(shape, k) for k in range(n // 2 + 1))
 
     k = slice_size
     small_is_left = k <= n - k

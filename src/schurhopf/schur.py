@@ -17,7 +17,6 @@ from .shapes import (
     SkewShape,
     check_partition,
     direct_sum,
-    ribbon_shape,
     transpose,
 )
 
@@ -82,9 +81,6 @@ class SymFunc:
             out[p] = out.get(p, 0) + c
         return SymFunc.from_dict(self.degree, out)
 
-    def scale(self, k: int) -> "SymFunc":
-        return SymFunc.from_dict(self.degree, {p: k * c for p, c in self.coeffs})
-
     def render(self) -> str:
         if not self.coeffs:
             return "0"
@@ -118,16 +114,6 @@ class MonomialPoly:
     def as_dict(self):
         return dict(self.terms)
 
-    def __add__(self, other: "MonomialPoly") -> "MonomialPoly":
-        if self.k != other.k:
-            raise SymFuncError("variable count mismatch")
-        out = self.as_dict()
-        for e, c in other.terms:
-            out[e] = out.get(e, 0) + c
-        return MonomialPoly.from_dict(self.k, out)
-
-    def scale(self, factor: int) -> "MonomialPoly":
-        return MonomialPoly.from_dict(self.k, {e: factor * c for e, c in self.terms})
 
 
 def monomial_expansion(shape: SkewShape, k: int) -> MonomialPoly:

@@ -18,12 +18,10 @@ from .shapes import (
     Composition,
     Partition,
     SkewShape,
-    connected_skew,
     format_shape,
     is_connected,
     is_ribbon,
     partitions_of,
-    ribbon_composition_of,
     ribbon_shape,
     rotate180,
     translate_cells,
@@ -436,17 +434,19 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     def slice_side(key_on_left: bool):
         """Matrix rows and direct terms of the tensor side holding the key-size factor.
 
-        A factor that is a connected ribbon becomes a direct term (ribbon,
-        cells, class of the other factor); any other factor adds one to its
-        row, indexed by its class and then by the other factor's class.
+        A factor that is a connected ribbon, that is, one of the ribbons
+        removable on its side, becomes a direct term (ribbon, cells, class
+        of the other factor); any other factor adds one to its row, indexed
+        by its class and then by the other factor's class.
         """
+        side = "left" if key_on_left else "right"
+        ribbons = {cells: comp for comp, cells in hopf.removable_ribbons(s_shape, n, side)}
         rows: dict = {}
         direct = []
         for left, right in hopf.coproduct_slice(s_shape, n if key_on_left else s_shape.size - n):
             mine, other = (left, right) if key_on_left else (right, left)
-            piece = connected_skew(mine)
-            if piece is not None and is_ribbon(piece):
-                direct.append((ribbon_composition_of(piece), mine, hopf.class_of_cells(other)))
+            if mine in ribbons:
+                direct.append((ribbons[mine], mine, hopf.class_of_cells(other)))
             else:
                 partners = rows.setdefault(hopf.class_of_cells(mine), {})
                 cls = hopf.class_of_cells(other)
@@ -487,9 +487,7 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
             modified = True
         except DependentRequiredError:
             # the scalar-multiple lemma forces equality of the key columns
-            if schur.schur_expand(ribbon_shape(alpha1)) != schur.schur_expand(
-                ribbon_shape(alpha2)
-            ):
+            if not schur.schur_equal(ribbon_shape(alpha1), ribbon_shape(alpha2)):
                 raise
             basis = ribbon_basis(n, (alpha1,))
 

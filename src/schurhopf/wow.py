@@ -283,15 +283,6 @@ def amalgamate(
     return skew_from_cells(union)
 
 
-def self_amalgam_cells(structure: WowStructure) -> frozenset[Cell]:
-    """gamma || _W gamma with the first copy in gamma's own frame."""
-    shifted = translate_cells(structure.gamma.cells, structure.amalg_shift)
-    union = structure.gamma.cells | shifted
-    if structure.gamma.cells & shifted != structure.upper_w:
-        raise NotSkewError("self-amalgamation overlap is not exactly W")
-    return frozenset(union)
-
-
 def dot_w(a1: SkewShape, a2: SkewShape, structure: WowStructure) -> SkewShape:
     """Shifted overlay of two copies of structure.gamma.
 
@@ -350,52 +341,71 @@ class KeyRibbons:
     bottom_footprint: frozenset[Cell]
 
 
+def _delta_span(cells) -> tuple[int, int]:
+    """Least and greatest diagonal c - r over a cell set."""
+    deltas = [c - r for r, c in cells]
+    return min(deltas), max(deltas)
+
+
 def key_ribbons(structure: WowStructure) -> KeyRibbons:
-    """Key ribbons of gamma, read off the rims of gamma || _W gamma.
+    """Key ribbons of gamma, read off gamma's own rims by diagonal.
 
-    The footprints are the ribbons mapped into gamma's own frame: the
-    amalgam ribbon lies inside one of the two copies in each of the four
-    orientation/side cases.
+    Here delta(r, c) = c - r, the order in which rim_ribbon lists a rim,
+    which meets each diagonal of a connected shape once.  The key ribbons
+    are segments of the rims of the amalgam U = gamma || _W gamma between
+    the two copies of O: for RR the top one runs along U's NW rim from
+    just after the first copy's O through the end of the second's, and
+    the bottom one along U's SE rim from the start of the first copy's O
+    up to the start of the second's.  With (dr, dc) = amalg_shift,
+    n = dc - dr and o0, o1 the least and greatest delta of O, that is, in
+    gamma's frame:
+      RR: top = NW rim on (o1 - n, o1], bottom = SE rim on [o0, o0 + n);
+      UU: top = NW rim on [o0, o0 + n), bottom = SE rim on (o1 - n, o1].
+
+    Proof for the RR top.  Let A = gamma and B = gamma + s for s =
+    amalg_shift, so U = A | B and A & B = t, the upper W: a cell y of
+    both lies on a diagonal of t, where Lemma 2 of detect_wow puts y in t
+    or NW of it, and y - s in b or SE of it.  Let tau = max delta(A), the
+    delta of gamma's NE box, which lies in t.
+    (a) U's NW rim is A's on delta <= tau and B's beyond.  B has no cell
+    below min delta(t), as its SW box lies in its lower W copy, which is
+    t; and on t's diagonals A - t lies NW of t and B - t lies SE of t
+    (Lemma 2 of detect_wow, for the top of A and the bottom of B).
+    (b) O's NE box x lies on A's NW rim.  Its NW neighbour is not in O,
+    as x is on O's top row; not in t, or x would lie SE of t on a
+    diagonal of t; and not in b, as delta(x) >= min delta(t) - 1 >
+    max delta(b) by the adjacency and the gap.  So x is U's rim at o1.
+    (c) x + s lies on B's NW rim at o1 + n >= max delta(b) + 1 + n =
+    tau + 1, so it is U's rim there.
+    (d) On (o1, tau] A holds only cells of t, so U's rim on (o1, o1 + n]
+    lies in B and is B's rim; shifting it back by s gives gamma's NW rim
+    on (o1 - n, o1].
+    The half-turn (rotate_structure keeps RR) gives the bottom, and the
+    transpose gives UU.
     """
-    amalgam = self_amalgam_cells(structure)
-    amalgam_shape = skew_from_cells(amalgam)
-    shift = structure.amalg_shift
-    o1 = structure.o_cells
-    o2 = translate_cells(o1, shift)
+    gamma = structure.gamma
+    dr, dc = structure.amalg_shift
+    n = dc - dr
+    o0, o1 = _delta_span(structure.o_cells)
 
-    def extract(side: str, start_after_o1: bool):
-        rim = rim_ribbon(amalgam_shape, side)
-        # rim cells are produced in the amalgam's canonical frame; map back
-        min_r = min(r for r, _ in amalgam)
-        min_c = min(c for _, c in amalgam)
-        rim = [(r + min_r, c + min_c) for r, c in rim]
-        idx_o1 = [i for i, c in enumerate(rim) if c in o1]
-        idx_o2 = [i for i, c in enumerate(rim) if c in o2]
-        if not idx_o1 or not idx_o2:
-            raise StructureError("O leaves no cells on the rim")
-        if start_after_o1:
-            start, end = idx_o1[-1] + 1, idx_o2[-1]
-        else:
-            start, end = idx_o1[0], idx_o2[0] - 1
-        return rim[start : end + 1]
+    def segment(side: str, lo: int) -> frozenset[Cell]:
+        """gamma's rim on side over the diagonals [lo, lo + n)."""
+        rim = rim_ribbon(gamma, side)
+        start = lo - (rim[0][1] - rim[0][0])
+        cells = rim[max(start, 0) : start + n]
+        if len(cells) != n:
+            raise StructureError("a key ribbon runs off gamma's rim")
+        return frozenset(cells)
 
     if structure.orientation == RR:
-        top_cells = extract("NW", True)
-        bottom_cells = extract("SE", False)
-        top_fp = translate_cells(top_cells, (-shift[0], -shift[1]))
-        bottom_fp = frozenset(bottom_cells)
+        top_fp, bottom_fp = segment("NW", o1 - n + 1), segment("SE", o0)
     else:
-        top_cells = extract("NW", False)
-        bottom_cells = extract("SE", True)
-        top_fp = frozenset(top_cells)
-        bottom_fp = translate_cells(bottom_cells, (-shift[0], -shift[1]))
-    if not (top_fp <= structure.gamma.cells and bottom_fp <= structure.gamma.cells):
-        raise StructureError("key ribbon footprint fell outside gamma")
-    top = ribbon_composition_of(skew_from_cells(top_cells))
-    bottom = ribbon_composition_of(skew_from_cells(bottom_cells))
-    if sum(top) != sum(bottom) or len(top) != len(bottom):
-        raise StructureError("key ribbons disagree in size or row count")
-    return KeyRibbons(top, bottom, sum(top), top_fp, bottom_fp)
+        top_fp, bottom_fp = segment("NW", o0), segment("SE", o1 - n + 1)
+    top = ribbon_composition_of(skew_from_cells(top_fp))
+    bottom = ribbon_composition_of(skew_from_cells(bottom_fp))
+    if len(top) != len(bottom):
+        raise StructureError("key ribbons disagree in row count")
+    return KeyRibbons(top, bottom, n, top_fp, bottom_fp)
 
 
 @dataclass(frozen=True)
@@ -411,30 +421,24 @@ def has_loose_end_ribbons(structure: WowStructure) -> LooseEnds:
     """Removable key-size ribbons positioned beyond the key footprints.
 
     RR: a left-removable ribbon beginning strictly left of the top key
-    footprint (in NW rim order) or a right-removable one ending strictly
-    right of the bottom key footprint; UU mirrors the comparisons.
+    footprint or a right-removable one ending strictly right of the bottom
+    key footprint; UU mirrors the comparisons.  A left ribbon and the top
+    footprint lie on gamma's NW rim, a right ribbon and the bottom one on
+    its SE rim, and a rim runs in the order of the diagonals c - r.
     """
     keys = structure.keys
-    n = keys.size
-    gamma = structure.gamma
-    nw = {cell: i for i, cell in enumerate(rim_ribbon(gamma, "NW"))}
-    se = {cell: i for i, cell in enumerate(rim_ribbon(gamma, "SE"))}
 
-    def window(index_map, cells):
-        spots = [index_map[c] for c in cells]
-        return min(spots), max(spots)
-
-    def beyond(side, index_map, footprint, before):
-        key_start, key_end = window(index_map, footprint)
-        for comp, cells in hopf.removable_ribbons(gamma, n, side):
-            start, end = window(index_map, cells)
-            if (start < key_start) if before else (end > key_end):
+    def beyond(side, footprint, before):
+        key_lo, key_hi = _delta_span(footprint)
+        for comp, cells in hopf.removable_ribbons(structure.gamma, keys.size, side):
+            lo, hi = _delta_span(cells)
+            if (lo < key_lo) if before else (hi > key_hi):
                 yield comp, cells
 
     rr = structure.orientation == RR
     witnesses = [
-        *beyond("left", nw, keys.top_footprint, rr),
-        *beyond("right", se, keys.bottom_footprint, not rr),
+        *beyond("left", keys.top_footprint, rr),
+        *beyond("right", keys.bottom_footprint, not rr),
     ]
     return LooseEnds(bool(witnesses), tuple(witnesses))
 

@@ -18,7 +18,6 @@ from schurhopf.schur import (
     monomial_expansion,
     multiply,
     ribbon_product,
-    ribbon_shape,
     schur_equal,
     schur_expand,
     sym_to_monomials,
@@ -31,6 +30,7 @@ from schurhopf.shapes import (
     is_ribbon,
     parse_shape,
     partitions_of,
+    ribbon_shape,
     rotate180,
     translate_cells,
 )

@@ -2,7 +2,6 @@ import pytest
 
 from schurhopf import hopf, schur
 from schurhopf.schur import (
-    MonomialPoly,
     SymFunc,
     clear_caches,
     connected_ribbons_of_size,
@@ -13,7 +12,6 @@ from schurhopf.schur import (
     monomial_expansion,
     multiply,
     ribbon_product,
-    ribbon_shape,
     schur_equal,
     schur_expand,
     sym_to_monomials,
@@ -23,6 +21,7 @@ from schurhopf.shapes import (
     box_bounded_shapes,
     parse_shape,
     partitions_of,
+    ribbon_shape,
     rotate180,
     skew_from_cells,
     translate_cells,
@@ -235,12 +234,6 @@ class TestRendering:
     def test_json(self):
         f = SymFunc.from_dict(2, {(1, 1): 3})
         assert f.to_json() == [{"partition": [1, 1], "coefficient": 3}]
-
-    def test_monomial_scale_add(self):
-        a = MonomialPoly.from_dict(2, {(1, 0): 1})
-        b = MonomialPoly.from_dict(2, {(1, 0): 2, (0, 1): 1})
-        assert (a + a) == a.scale(2)
-        assert (a + b).as_dict() == {(1, 0): 3, (0, 1): 1}
 
 
 class TestCaches:

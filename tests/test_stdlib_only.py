@@ -1,5 +1,6 @@
 """The library imports nothing outside the standard library and itself,
-and parses under the oldest Python that pyproject.toml admits."""
+uses every name it imports outside `__init__`, and parses under the
+oldest Python that pyproject.toml admits."""
 
 import ast
 import pathlib
@@ -42,3 +43,23 @@ def test_imports_are_stdlib_or_schurhopf(path):
         if root != "schurhopf" and root not in sys.stdlib_module_names
     }
     assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = set(_imported_names(tree)) - used
+    assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"

@@ -11,14 +11,18 @@ from schurhopf.shapes import (
     ne_box,
     neighbors,
     parse_shape,
+    ribbon_composition_of,
+    rim_ribbon,
     rotate180,
     skew_from_cells,
     sw_box,
+    translate_cells,
 )
 from schurhopf.verifier import proof_trace, verify_main_theorem
 from schurhopf.wow import (
     RR,
     UU,
+    KeyRibbons,
     StructureError,
     WowStructure,
     amalgamate,
@@ -29,12 +33,48 @@ from schurhopf.wow import (
     has_loose_end_ribbons,
     key_ribbons,
     rotate_structure,
-    self_amalgam_cells,
 )
 
 
 def shp(text):
     return parse_shape(text)
+
+
+def _self_amalgam_cells(structure):
+    """gamma || _W gamma with the first copy in gamma's own frame."""
+    shifted = translate_cells(structure.gamma.cells, structure.amalg_shift)
+    assert structure.gamma.cells & shifted == structure.upper_w
+    return structure.gamma.cells | shifted
+
+
+def _reference_key_ribbons(structure):
+    """Key ribbons walked along the rims of the whole amalgam, then mapped back."""
+    amalgam = _self_amalgam_cells(structure)
+    amalgam_shape = skew_from_cells(amalgam)
+    shift = structure.amalg_shift
+    o1 = structure.o_cells
+    o2 = translate_cells(o1, shift)
+    min_r = min(r for r, _ in amalgam)
+    min_c = min(c for _, c in amalgam)
+
+    def extract(side, start_after_o1):
+        rim = [(r + min_r, c + min_c) for r, c in rim_ribbon(amalgam_shape, side)]
+        idx_o1 = [i for i, c in enumerate(rim) if c in o1]
+        idx_o2 = [i for i, c in enumerate(rim) if c in o2]
+        if start_after_o1:
+            return rim[idx_o1[-1] + 1 : idx_o2[-1] + 1]
+        return rim[idx_o1[0] : idx_o2[0]]
+
+    back = (-shift[0], -shift[1])
+    if structure.orientation == RR:
+        top_cells, bottom_cells = extract("NW", True), extract("SE", False)
+        top_fp, bottom_fp = translate_cells(top_cells, back), frozenset(bottom_cells)
+    else:
+        top_cells, bottom_cells = extract("NW", False), extract("SE", True)
+        top_fp, bottom_fp = frozenset(top_cells), translate_cells(bottom_cells, back)
+    top = ribbon_composition_of(skew_from_cells(top_cells))
+    bottom = ribbon_composition_of(skew_from_cells(bottom_cells))
+    return KeyRibbons(top, bottom, sum(top), top_fp, bottom_fp)
 
 
 class TestDetect:
@@ -218,7 +258,7 @@ class TestAmalgamation:
         out = amalgamate(st.gamma, st.gamma, st.w_shape, st.upper_w, st.lower_w)
         assert format_shape(out) == "7,7,5,5,2,2/5,4,2,1"
         assert out.size == 2 * 9 - 2
-        assert skew_from_cells(self_amalgam_cells(st)) == out
+        assert skew_from_cells(_self_amalgam_cells(st)) == out
 
     def test_bad_placement_rejected(self):
         with pytest.raises(ValueError):
@@ -245,7 +285,8 @@ class TestCompose:
 
     def test_row_of_two_is_amalgam(self, positive_structure):
         st = positive_structure
-        assert compose(shp("2"), st) == skew_from_cells(self_amalgam_cells(st))
+        out = amalgamate(st.gamma, st.gamma, st.w_shape, st.upper_w, st.lower_w)
+        assert compose(shp("2"), st) == out
 
     def test_positive_beta(self, positive_structure):
         out = compose(shp("2,1"), positive_structure)
@@ -301,6 +342,10 @@ class TestKeyRibbons:
         assert keys.size == 9
         assert keys.top == (4, 3, 2)
         assert keys.bottom == (2, 6, 1)
+
+    def test_matches_amalgam_rims(self, catalog10):
+        for st, keys, _ in catalog10:
+            assert keys == _reference_key_ribbons(st), st
 
     def test_footprints_inside_gamma(self, catalog10):
         for st, keys, _ in catalog10[:300]:
