@@ -115,7 +115,6 @@ class MonomialPoly:
         return dict(self.terms)
 
 
-
 def monomial_expansion(shape: SkewShape, k: int) -> MonomialPoly:
     """Sum over fillings of the shape with entries in 1..k.
 
@@ -153,63 +152,68 @@ def monomial_expansion(shape: SkewShape, k: int) -> MonomialPoly:
     return MonomialPoly.from_dict(k, counts)
 
 
-def _lattice_fillings(shape: SkewShape):
-    """Yield contents of Littlewood-Richardson fillings of a connected-or-not shape.
-
-    Cells are visited in reading order (rows top to bottom, right to left);
-    the ballot condition is enforced at every step, so entries in row i
-    never exceed i + 1.
-    """
-    cells = [
-        (r, c)
-        for r, (lam, mu) in enumerate(zip(shape.outer, shape.padded_inner))
-        for c in range(lam - 1, mu - 1, -1)
-    ]
-    maxe = len(shape.outer)
-    counts = [0] * (maxe + 2)
-    values: dict[tuple[int, int], int] = {}
-
-    def rec(idx: int):
-        if idx == len(cells):
-            out = []
-            for e in range(1, maxe + 1):
-                if counts[e] == 0:
-                    break
-                out.append(counts[e])
-            yield tuple(out)
-            return
-        r, c = cells[idx]
-        lo = 1
-        above = values.get((r - 1, c))
-        if above is not None:
-            lo = above + 1
-        hi = r + 1
-        right = values.get((r, c + 1))
-        if right is not None:
-            hi = min(hi, right)
-        hi = min(hi, maxe)
-        for v in range(lo, hi + 1):
-            if v > 1 and counts[v - 1] <= counts[v]:
-                continue
-            counts[v] += 1
-            values[(r, c)] = v
-            yield from rec(idx + 1)
-            counts[v] -= 1
-        values.pop((r, c), None)
-
-    yield from rec(0)
-
-
 @memoize
 def schur_expand(shape: SkewShape) -> SymFunc:
     """Expansion of the skew Schur function in the Schur basis.
 
     The coefficient of s_nu counts the Littlewood-Richardson fillings of
-    the shape with content nu; disconnected shapes need no special case.
+    the shape with content nu: semistandard fillings whose reading word
+    (rows top to bottom, each right to left) is a lattice word.  A transfer
+    over the rows, top to bottom, counts them.  Its state after row r is
+    the content so far (no zeros) and needs, where needs[k] counts the
+    cells of row r holding k + 1 or more among the columns [mu_r,
+    lam_(r+1)) that row r + 1 shares with it.  Equal states are merged, and
+    the final contents, summed by count, are the coefficients.
+
+    A row weakly increases, so its multiplicities m_v fix it; it is filled
+    right to left with non-increasing values.  Read right to left it lists
+    its v's before its (v - 1)'s, so the lattice condition on the row is
+    prev[v] + m_v <= prev[v - 1] for each v, prev the content before it.
+    Column strictness puts v or more in the cells under a v - 1 or more:
+    the needs[v - 2] rightmost cells, as the shared columns end where the
+    row ends and the row above increases.
     """
+    lam, mu = shape.outer, shape.padded_inner
+    ell = len(lam)
+    states = {((), ()): 1}
+    for r in range(ell):
+        length = lam[r] - mu[r]
+        shared = lam[r + 1] - mu[r] if r + 1 < ell else 0
+        after: dict = {}
+        get = after.get
+        for (prev, needs), count in states.items():
+            padded = prev + (0,)
+            lows = [1] * length  # lows[j]: least value of the j-th cell from the right
+            for k, n in enumerate(needs):
+                lows[:n] = [k + 2] * n
+            # partial rows: (value of the last cell filled, content with it)
+            rows = [(len(padded), padded)]
+            for lo in lows:
+                filled = []
+                for hi, content in rows:
+                    for v in range(lo, hi + 1):
+                        if v == 1 or content[v - 1] < padded[v - 2]:
+                            grown = list(content)
+                            grown[v - 1] += 1
+                            filled.append((v, grown))
+                rows = filled
+            for _, content in rows:
+                content = tuple(content)
+                if not content[-1]:
+                    content = content[:-1]
+                below = []
+                rest = shared
+                for now, before in zip(content, padded):
+                    if rest <= 0:
+                        break
+                    below.append(rest)
+                    rest -= now - before
+                key = (content, tuple(below))
+                after[key] = get(key, 0) + count
+        states = after
     coeffs: dict[Partition, int] = {}
-    for content in _lattice_fillings(shape):
-        coeffs[content] = coeffs.get(content, 0) + 1
+    for (content, _), count in states.items():
+        coeffs[content] = coeffs.get(content, 0) + count
     return SymFunc.from_dict(shape.size, coeffs)
 
 

@@ -329,8 +329,8 @@ def ribbon_shape(comp: Composition) -> SkewShape:
 
 
 def diagonal(cell: Cell) -> int:
-    """Diagonal index row - col; constant along each antidiagonal."""
-    return cell[0] - cell[1]
+    """Diagonal index delta = col - row, constant along each diagonal."""
+    return cell[1] - cell[0]
 
 
 def rim_ribbon(shape: SkewShape, side: str) -> list[Cell]:
@@ -349,7 +349,7 @@ def rim_ribbon(shape: SkewShape, side: str) -> list[Cell]:
         rim = [(r, c) for r, c in cells if (r + 1, c + 1) not in cells]
     else:
         raise ValueError(f"side must be 'NW' or 'SE', got {side!r}")
-    rim.sort(key=lambda cell: cell[1] - cell[0])
+    rim.sort(key=diagonal)
     return rim
 
 

@@ -108,9 +108,7 @@ class WowStructure:
                 raise StructureError("removing a W copy must leave a connected shape")
         if not is_connected_skew(self.o_cells):
             raise StructureError("O must be a connected shape")
-        if min(diagonal(c) for c in self.lower_w) - max(
-            diagonal(c) for c in self.upper_w
-        ) < 2:
+        if _delta_span(self.upper_w)[0] - _delta_span(self.lower_w)[1] < 2:
             raise StructureError("need a diagonal strictly between the W copies")
         if self.orientation not in (RR, UU):
             raise StructureError(f"unknown orientation {self.orientation!r}")
@@ -182,13 +180,17 @@ def _top_placements(gamma: SkewShape):
         yield from rec(0, lo, hi, frozenset((0, c) for c in range(lo, hi + 1)))
 
 
+def _delta_span(cells) -> tuple[int, int]:
+    """Least and greatest diagonal over a cell set."""
+    deltas = [diagonal(c) for c in cells]
+    return min(deltas), max(deltas)
+
+
 def _index(placements):
     """Placements grouped by canonical cells, each with its diagonal span."""
     by_shape: dict[frozenset, list] = {}
     for placed in placements:
-        diagonals = [diagonal(c) for c in placed]
-        span = (min(diagonals), max(diagonals))
-        by_shape.setdefault(canonicalize_cells(placed), []).append((placed, span))
+        by_shape.setdefault(canonicalize_cells(placed), []).append((placed, _delta_span(placed)))
     return by_shape
 
 
@@ -199,16 +201,16 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
     cells that hold gamma's NE box and leave a connected skew shape (two
     copies with a diagonal of gamma between them never hold more); bottoms
     b are the half-turns of the rotated gamma's tops.  A t and b of one
-    shape, on diagonals up to t1 and from b0 >= t1 + 2, need only an
-    orientation's adjacency, as proved below.  Here diagonal(r, c) = r - c,
+    shape, on diagonals from t0 and up to b1 <= t0 - 2, need only an
+    orientation's adjacency, as proved below.  Here diagonal(r, c) = c - r,
     and the product order x <= y runs NW to SE along a diagonal.
 
     Lemma 1: O is a nonempty connected skew shape.  A finite cell set is
     skew iff convex in the product order, and then connected iff its
     diagonals form an interval.  O = (gamma - t) & (gamma - b) is convex.
-    It holds all of gamma on (t1, b0), and agrees with gamma - t below b0
-    and with gamma - b above t1, whose diagonals are intervals through
-    t1 + 1 and b0 - 1 respectively.
+    It holds all of gamma on (b1, t0), and agrees with gamma - t above b1
+    and with gamma - b below t0, whose diagonals are intervals through
+    b1 + 1 and t0 - 1 respectively.
 
     Lemma 2: for RR each cell of gamma - t on a diagonal of t (so in O)
     lies NW of t's cells there, and each of gamma - b on a diagonal of b
@@ -247,7 +249,7 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
     for key in tops.keys() & bottoms.keys():
         for t, t_span in tops[key]:
             for b, b_span in bottoms[key]:
-                if b_span[0] - t_span[1] >= 2:
+                if t_span[0] - b_span[1] >= 2:
                     o = cells - t - b
                     for x in (RR, UU):
                         if _adjacency_holds(o, t, b, x):
@@ -341,12 +343,6 @@ class KeyRibbons:
     bottom_footprint: frozenset[Cell]
 
 
-def _delta_span(cells) -> tuple[int, int]:
-    """Least and greatest diagonal c - r over a cell set."""
-    deltas = [c - r for r, c in cells]
-    return min(deltas), max(deltas)
-
-
 def key_ribbons(structure: WowStructure) -> KeyRibbons:
     """Key ribbons of gamma, read off gamma's own rims by diagonal.
 
@@ -391,7 +387,7 @@ def key_ribbons(structure: WowStructure) -> KeyRibbons:
     def segment(side: str, lo: int) -> frozenset[Cell]:
         """gamma's rim on side over the diagonals [lo, lo + n)."""
         rim = rim_ribbon(gamma, side)
-        start = lo - (rim[0][1] - rim[0][0])
+        start = lo - diagonal(rim[0])
         cells = rim[max(start, 0) : start + n]
         if len(cells) != n:
             raise StructureError("a key ribbon runs off gamma's rim")

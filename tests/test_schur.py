@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from schurhopf import hopf, schur
 from schurhopf.schur import (
@@ -19,6 +21,7 @@ from schurhopf.schur import (
 from schurhopf.shapes import (
     SkewShape,
     box_bounded_shapes,
+    direct_sum,
     parse_shape,
     partitions_of,
     ribbon_shape,
@@ -26,6 +29,7 @@ from schurhopf.shapes import (
     skew_from_cells,
     translate_cells,
 )
+from schurhopf.wow import compose
 
 
 def shp(text):
@@ -88,6 +92,95 @@ class TestSchurExpand:
             for b in small[:12]:
                 union = disjoint_union(a, b)
                 assert schur_expand(union) == multiply(schur_expand(a), schur_expand(b))
+
+
+def _lattice_fillings(shape: SkewShape):
+    """Yield contents of Littlewood-Richardson fillings of a connected-or-not shape.
+
+    Cells are visited in reading order (rows top to bottom, right to left);
+    the ballot condition is enforced at every step, so entries in row i
+    never exceed i + 1.
+    """
+    cells = [
+        (r, c)
+        for r, (lam, mu) in enumerate(zip(shape.outer, shape.padded_inner))
+        for c in range(lam - 1, mu - 1, -1)
+    ]
+    maxe = len(shape.outer)
+    counts = [0] * (maxe + 2)
+    values: dict[tuple[int, int], int] = {}
+
+    def rec(idx: int):
+        if idx == len(cells):
+            out = []
+            for e in range(1, maxe + 1):
+                if counts[e] == 0:
+                    break
+                out.append(counts[e])
+            yield tuple(out)
+            return
+        r, c = cells[idx]
+        lo = 1
+        above = values.get((r - 1, c))
+        if above is not None:
+            lo = above + 1
+        hi = r + 1
+        right = values.get((r, c + 1))
+        if right is not None:
+            hi = min(hi, right)
+        hi = min(hi, maxe)
+        for v in range(lo, hi + 1):
+            if v > 1 and counts[v - 1] <= counts[v]:
+                continue
+            counts[v] += 1
+            values[(r, c)] = v
+            yield from rec(idx + 1)
+            counts[v] -= 1
+        values.pop((r, c), None)
+
+    yield from rec(0)
+
+
+def _reference_expand(shape: SkewShape) -> SymFunc:
+    """Reference: one filling at a time, the enumerator the row transfer replaced."""
+    coeffs: dict = {}
+    for content in _lattice_fillings(shape):
+        coeffs[content] = coeffs.get(content, 0) + 1
+    return SymFunc.from_dict(shape.size, coeffs)
+
+
+@st.composite
+def small_shapes(draw):
+    """A lambda/mu with lambda inside a 4 x 4 box and at most 8 cells."""
+    lam = sorted(draw(st.lists(st.integers(0, 4), max_size=4)), reverse=True)
+    mu = []
+    for part in lam:
+        mu.append(draw(st.integers(0, min([part] + mu[-1:]))))
+    assume(sum(lam) - sum(mu) <= 8)
+    return SkewShape(tuple(lam), tuple(mu))
+
+
+class TestAgainstFillingReference:
+    def test_every_shape_in_box(self):
+        shapes = list(box_bounded_shapes(6, 6))
+        assert len(shapes) == 5214
+        for shape in shapes:
+            assert schur_expand(shape) == _reference_expand(shape), shape
+
+    def test_landmarks(self, positive_structure, counterexample_structure):
+        # the 23-cell and 33-cell sides of verify --beta 2,1 on both landmarks
+        beta = SkewShape((2, 1))
+        for structure in (positive_structure, counterexample_structure):
+            for alpha in (beta, rotate180(beta)):
+                shape = compose(alpha, structure)
+                assert schur_expand(shape) == _reference_expand(shape), shape
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(small_shapes(), small_shapes())
+    def test_direct_sums(self, a, b):
+        # class_schur and multiply expand shapes with several components
+        shape = direct_sum((a, b))
+        assert schur_expand(shape) == _reference_expand(shape)
 
 
 class TestMultiply:

@@ -235,6 +235,14 @@ class TestRims:
                     assert len(rim) == len(diags)
                     assert {diagonal(c) for c in rim} == diags
 
+    def test_rim_runs_southwest_to_northeast(self):
+        # diagonal is delta = c - r, so a rim lists its cells by increasing delta
+        assert diagonal((2, 5)) == 3
+        for shape in connected_shapes(6):
+            for side in ("NW", "SE"):
+                deltas = [diagonal(c) for c in rim_ribbon(shape, side)]
+                assert deltas == list(range(deltas[0], deltas[0] + len(deltas)))
+
 
 class TestPlacements:
     def test_domino_in_top(self):

@@ -5,7 +5,6 @@ from schurhopf.shapes import (
     SkewShape,
     canonicalize_cells,
     connected_shapes,
-    diagonal,
     format_shape,
     is_connected_skew,
     ne_box,
@@ -155,6 +154,11 @@ def _connected_subsets(cells, anchor, max_size):
     yield from rec({anchor}, [nb for nb in neighbors(anchor) if nb in cells], set())
 
 
+def _row_minus_col(cell):
+    """The reference's own diagonal index, r - c, independent of shapes.diagonal."""
+    return cell[0] - cell[1]
+
+
 def _reference_detect(gamma):
     """Reference: the polyomino walk, filtered, with maximality over all 2^|band| extensions."""
     cells = gamma.cells
@@ -168,8 +172,8 @@ def _reference_detect(gamma):
         return out
 
     def extensions(placed):
-        diagonals = {diagonal(x) for x in placed}
-        extras = sorted(c for c in cells if diagonal(c) in diagonals and c not in placed)
+        diagonals = {_row_minus_col(x) for x in placed}
+        extras = sorted(c for c in cells if _row_minus_col(c) in diagonals and c not in placed)
         for mask in range(1, 1 << len(extras)):
             extended = placed | {extras[i] for i in range(len(extras)) if mask >> i & 1}
             if is_connected_skew(extended) and is_connected_skew(cells - extended):
@@ -180,7 +184,7 @@ def _reference_detect(gamma):
     for key in sorted(tops.keys() & bottoms.keys(), key=sorted):
         for t in sorted(tops[key], key=sorted):
             for b in sorted(bottoms[key], key=sorted):
-                if min(diagonal(c) for c in b) - max(diagonal(c) for c in t) < 2:
+                if min(map(_row_minus_col, b)) - max(map(_row_minus_col, t)) < 2:
                     continue
                 o = cells - t - b
                 if not is_connected_skew(o):
