@@ -81,11 +81,14 @@ def _pick_structure(gamma: SkewShape, index: int | None):
 
 
 def _parse_beta(text: str) -> Partition:
-    """A partition given as text; a skew shape with a nonempty inner part is refused."""
+    """A nonempty partition given as text; a skew shape with a nonempty inner part is refused."""
     outer, _, inner = text.partition("/")
     if parse_partition(inner):
         raise ShapeError(f"beta {text!r} must be a partition")
-    return parse_partition(outer)
+    beta = parse_partition(outer)
+    if not beta:
+        raise ShapeError("beta must be nonempty")
+    return beta
 
 
 def cmd_verify(args) -> int:
@@ -200,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--gamma", required=True)
     p_verify.add_argument("--w", type=int, default=None, help="structure index from detect_wow ordering")
     p_verify.add_argument("--corollary", action="store_true", help="compare against the rotated structure")
-    p_verify.add_argument("--trace", action="store_true", help="attach the proof trace")
+    p_verify.add_argument("--trace", action="store_true", help="attach the proof trace of beta o gamma "
+                          "against beta* o gamma, also with --corollary (its equal compares those two)")
     p_verify.add_argument("--strict", action="store_true")
     p_verify.add_argument("--json", action="store_true")
 

@@ -9,7 +9,7 @@ mu <= eta <= lambda in Young's lattice.  The antipode is never needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
+from functools import cached_property
 
 from . import schur
 from .shapes import (
@@ -39,6 +39,11 @@ class ShapeClass:
     def size(self) -> int:
         return sum(c.size for c in self.components)
 
+    @cached_property
+    def shape(self) -> SkewShape:
+        """The components' direct sum; s_{A (+) B} = s_A s_B makes its image the class's."""
+        return direct_sum(self.components)
+
     def is_empty(self) -> bool:
         return not self.components
 
@@ -61,21 +66,6 @@ def shape_class(shape: SkewShape) -> ShapeClass:
 
 def class_of_cells(cells) -> ShapeClass:
     return shape_class(skew_from_cells(cells))
-
-
-@schur.memoize
-def class_schur(cls: ShapeClass) -> schur.SymFunc:
-    """Image of a class in symmetric functions."""
-    return schur.schur_expand(direct_sum(cls.components))
-
-
-@schur.memoize
-def class_h_expansion(cls: ShapeClass) -> MappingProxyType:
-    """Read-only h-basis image of a class (product over components)."""
-    out = {0: 1}
-    for comp in cls.components:
-        out = schur.h_product(out, schur.h_expansion(comp))
-    return MappingProxyType(out)
 
 
 CoproductSum = dict  # (ShapeClass, ShapeClass) -> int
@@ -269,7 +259,7 @@ def combo_to_h(combo: dict) -> dict:
     sums by one common denominator first); the combination is zero as a
     symmetric function exactly when the result is empty.
     """
-    return schur.h_sum((m, class_h_expansion(cls)) for cls, m in combo.items())
+    return schur.h_sum((m, schur.h_expansion(cls.shape)) for cls, m in combo.items())
 
 
 def _combos_equal_as_symfuncs(lhs: dict[ShapeClass, int], rhs: dict[ShapeClass, int]) -> bool:
@@ -305,7 +295,7 @@ def image_cocommutativity(shape: SkewShape, slice_size: int | None = None) -> bo
         for left, right in slice_terms:
             small = class_of_cells(left if left_small else right)
             big = class_of_cells(right if left_small else left)
-            for p, c in class_schur(small).coeffs:
+            for p, c in schur.schur_expand(small.shape).coeffs:
                 buckets.setdefault(p, {})
                 buckets[p][big] = buckets[p].get(big, 0) + c
         return buckets

@@ -32,7 +32,7 @@ def memoize(fn):
 
 
 def clear_caches() -> None:
-    """Empty every expansion cache, here and in hopf."""
+    """Empty every expansion cache."""
     for cached in _CACHES:
         cached.cache_clear()
 
@@ -298,11 +298,6 @@ H_LIMIT = 1 << H_BITS
 _H_MASK = H_LIMIT - 1
 
 
-def _check_h_degree(degree: int) -> None:
-    if degree >= H_LIMIT:
-        raise SymFuncError(f"h-basis image of degree {degree} exceeds the bound {H_LIMIT - 1}")
-
-
 def _h_partition(key: int) -> Partition:
     parts: list[int] = []
     d = 0
@@ -323,11 +318,6 @@ def h_terms(image):
         yield _h_partition(key), image[key]
 
 
-def _h_degree(image) -> int:
-    """Degree of a homogeneous h-basis image (0 for the zero image)."""
-    return sum(_h_partition(next(iter(image)))) if image else 0
-
-
 @memoize
 def h_expansion(shape: SkewShape) -> MappingProxyType:
     """Jacobi-Trudi determinant as a polynomial in the h-basis.
@@ -340,7 +330,8 @@ def h_expansion(shape: SkewShape) -> MappingProxyType:
     ell = len(lam)
     if ell == 0:
         return MappingProxyType({0: 1})
-    _check_h_degree(shape.size)
+    if shape.size >= H_LIMIT:
+        raise SymFuncError(f"h-basis image of degree {shape.size} exceeds the bound {H_LIMIT - 1}")
     # det(h_{lam_i - mu_j - i + j}): the entry in row i, column j is nonzero
     # exactly when j >= t_i, and the thresholds t_i are non-decreasing.  A
     # subdeterminant is fixed by its free columns, a bitmask (its row is ell
@@ -388,20 +379,6 @@ def h_expansion(shape: SkewShape) -> MappingProxyType:
         return acc
 
     return MappingProxyType(subdet(0, (1 << ell) - 1))
-
-
-def h_product(f, g) -> dict[int, int]:
-    """Product of two h-basis images: the keys of two monomials add."""
-    if not f or not g:
-        return {}
-    _check_h_degree(_h_degree(f) + _h_degree(g))
-    out: dict[int, int] = {}
-    get = out.get
-    for p, a in f.items():
-        for q, b in g.items():
-            k = p + q
-            out[k] = get(k, 0) + a * b
-    return {k: c for k, c in out.items() if c}
 
 
 def h_sum(terms) -> dict[int, int]:

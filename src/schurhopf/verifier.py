@@ -499,7 +499,7 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
         columns[i2] = ("delta", alpha2, alpha1)
 
     def vector_for(cls) -> list[int]:
-        coeffs = hopf.class_schur(cls).as_dict()
+        coeffs = schur.schur_expand(cls.shape).as_dict()
         vec = list(_solve_in_basis(basis, coeffs))
         if modified:
             vec[i1] += vec[i2]
@@ -550,7 +550,7 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     key = columns[i1]
     key_column_equal = h_right[key] == h_left[key]
     if x_class is not None and y_class is not None:
-        x_h, y_h = hopf.class_h_expansion(x_class), hopf.class_h_expansion(y_class)
+        x_h, y_h = schur.h_expansion(x_class.shape), schur.h_expansion(y_class.shape)
         balance_ok = not schur.h_sum(
             [(1, h_right[key]), (-1, h_left[key]), (d, x_h), (-d, y_h)]
         )

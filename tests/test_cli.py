@@ -163,6 +163,8 @@ class TestSearch:
         # 3,3/1,1 is a translate of the partition 2,2, but beta must be given as one
         ("verify", "--beta", "3,3/1,1", "--gamma", "4,4,2,2/2,1"),
         ("search", "--max-size", "3", "--beta", "3,3/1,1"),
+        # an empty beta is bad input before any hypothesis is weighed
+        ("verify", "--beta", "0", "--gamma", "4,4,2,2/2,1", "--strict"),
     ],
 )
 def test_library_error_exit_2(capsys, argv):

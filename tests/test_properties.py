@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurhopf.hopf import ShapeClass
 from schurhopf.schur import (
     H_BITS,
     H_LIMIT,
     SymFuncError,
     h_expansion,
-    h_product,
     h_terms,
     schur_equal,
     schur_expand,
@@ -19,6 +19,7 @@ from schurhopf.schur import (
 from schurhopf.shapes import (
     SkewShape,
     connected_skew,
+    direct_sum,
     is_connected,
     is_connected_skew,
     is_ribbon,
@@ -192,12 +193,32 @@ def _pack(parts):
     return sum(1 << (H_BITS * d) for d in parts)
 
 
+def _reference_h_product(f, g) -> dict[int, int]:
+    """Product of two h-basis images: the keys of two monomials add."""
+    out: dict[int, int] = {}
+    for p, a in f.items():
+        for q, b in g.items():
+            out[p + q] = out.get(p + q, 0) + a * b
+    return {k: c for k, c in out.items() if c}
+
+
 @PROPERTY
-@given(partitions, partitions, st.integers(-5, 5), st.integers(-5, 5))
-def test_h_product_is_multiset_union(p, q, a, b):
+@given(st.lists(shapes(max_cells=7), min_size=1, max_size=3))
+def test_direct_sum_image_is_product(pieces):
+    # s_{A (+) B} = s_A s_B: a class's h-image is its direct sum's
+    product = {0: 1}
+    for piece in pieces:
+        product = _reference_h_product(product, h_expansion(piece))
+    assert dict(h_expansion(direct_sum(pieces))) == product
+
+
+@PROPERTY
+@given(partitions, partitions)
+def test_h_product_is_multiset_union(p, q):
+    # h_{p1} ... h_{pk} is the image of the one-row shapes p1, ..., pk placed apart
     union = tuple(sorted(p + q, reverse=True))
-    product = h_product({_pack(p): a}, {_pack(q): b})
-    assert list(h_terms(product)) == ([(union, a * b)] if a * b else [])
+    rows = direct_sum(SkewShape((part,)) for part in p + q)
+    assert list(h_terms(h_expansion(rows))) == [(union, 1)]
 
 
 @PROPERTY
@@ -214,9 +235,9 @@ def test_h_degree_bound():
     assert list(h_terms(h_expansion(SkewShape((H_LIMIT - 1,))))) == [((H_LIMIT - 1,), 1)]
     with pytest.raises(SymFuncError):
         h_expansion(SkewShape((H_LIMIT,)))
-    half = h_expansion(SkewShape((H_LIMIT // 2,)))
+    halves = ShapeClass((SkewShape((H_LIMIT // 2,)),) * 2)
     with pytest.raises(SymFuncError):
-        h_product(half, half)
+        h_expansion(halves.shape)
 
 
 @cache
