@@ -21,6 +21,7 @@ from .shapes import (
     is_connected,
     parse_partition,
     parse_shape,
+    rotate180,
     shape_sort_key,
 )
 
@@ -145,22 +146,31 @@ def cmd_verify(args) -> int:
 
 
 def _search_one(gamma, beta_list):
+    """Rows of gamma and, when it differs, of its half-turn.
+
+    The half-turn's rows copy gamma's but for their names: on the rotated
+    structure the lhs and rhs are the half-turns of the rhs and lhs, and
+    the key size and loose ends are kept (see wow.rotate_structure).
+    """
     rows = []
+    rotated = rotate180(gamma)
     for structure in wow.detect_wow(gamma):
+        turned = wow.rotate_structure(structure).describe() if rotated != gamma else None
         for beta in beta_list:
             report = verifier.verify_main_theorem(beta, structure, strict=False, expansions=False)
-            rows.append(
-                {
-                    "gamma": format_shape(gamma),
-                    "structure": structure.describe(),
-                    "orientation": structure.orientation,
-                    "keySize": structure.keys.size,
-                    "looseEnds": structure.loose_ends.found,
-                    "beta": list(beta),
-                    "hypothesesHold": report.mode == "theorem",
-                    "equal": report.equal,
-                }
-            )
+            row = {
+                "gamma": format_shape(gamma),
+                "structure": structure.describe(),
+                "orientation": structure.orientation,
+                "keySize": structure.keys.size,
+                "looseEnds": structure.loose_ends.found,
+                "beta": list(beta),
+                "hypothesesHold": report.mode == "theorem",
+                "equal": report.equal,
+            }
+            rows.append(row)
+            if turned is not None:
+                rows.append(dict(row, gamma=format_shape(rotated), structure=turned))
     return rows
 
 
@@ -169,10 +179,13 @@ def cmd_search(args) -> int:
         raise ValueError("--max-size must be at least 1")
     betas = [_parse_beta(text) for text in args.beta or ["2,1"]]
 
-    gammas = []
+    rows = []
+    done = set()  # the half-turns of the gammas searched so far
     for n in range(1, args.max_size + 1):
-        gammas.extend(sorted(connected_shapes(n), key=shape_sort_key))
-    rows = [row for g in gammas for row in _search_one(g, betas)]
+        for gamma in sorted(connected_shapes(n), key=shape_sort_key):
+            if gamma not in done:
+                done.add(rotate180(gamma))
+                rows += _search_one(gamma, betas)
     rows.sort(key=lambda r: (r["gamma"], r["structure"], r["beta"]))
 
     payload = {"schema": SCHEMA, "maxSize": args.max_size, "instances": rows}
@@ -209,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true")
 
     p_search = sub.add_parser("search", help="scan all structures up to a size bound")
-    p_search.add_argument("--max-size", type=int, required=True, help="largest gamma size (<= 12 is reasonable)")
+    p_search.add_argument("--max-size", type=int, required=True,
+                          help="largest gamma size (12 takes about 20 s and 420 MB)")
     p_search.add_argument("--beta", action="append", help="repeatable; default 2,1")
     p_search.add_argument("--json", action="store_true")
 

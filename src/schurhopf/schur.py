@@ -17,6 +17,7 @@ from .shapes import (
     SkewShape,
     check_partition,
     direct_sum,
+    rotate180,
     transpose,
 )
 
@@ -278,7 +279,10 @@ def schur_equal(a: SkewShape, b: SkewShape) -> bool:
     Compares the Jacobi-Trudi h-expansions, which is exact because the
     complete homogeneous functions are algebraically independent.  Tall
     shapes are conjugated first (conjugation is a ring automorphism, so
-    equality is preserved) to keep the determinants small.
+    equality is preserved) to keep the determinants small.  Then each side
+    is replaced by the lesser (outer, inner) of itself and its half-turn:
+    a shape and its half-turn have the same Jacobi-Trudi h-polynomial, so
+    a half-turn pair is equal without an expansion and shares one image.
     """
     if a.size != b.size:
         return False
@@ -286,7 +290,13 @@ def schur_equal(a: SkewShape, b: SkewShape) -> bool:
         return True
     if max(len(a.outer), len(b.outer)) > max(a.outer[0], b.outer[0]):
         a, b = transpose(a), transpose(b)
-    return h_expansion(a) == h_expansion(b)
+    a, b = half_turn_rep(a), half_turn_rep(b)
+    return a == b or h_expansion(a) == h_expansion(b)
+
+
+def half_turn_rep(shape: SkewShape) -> SkewShape:
+    """The lesser (outer, inner) of a shape and its half-turn; both have its h-image."""
+    return min(shape, rotate180(shape), key=lambda s: (s.outer, s.inner))
 
 
 # An h-monomial h_{p1}...h_{pk} is packed into one int whose H_BITS-bit field

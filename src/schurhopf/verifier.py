@@ -219,7 +219,7 @@ class Report:
                 "basis": "h",
                 "terms": [
                     {"partition": list(p), "coefficient": c}
-                    for p, c in schur.h_terms(schur.h_expansion(shape))
+                    for p, c in schur.h_terms(schur.h_expansion(schur.half_turn_rep(shape)))
                 ],
             }
 

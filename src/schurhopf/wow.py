@@ -445,6 +445,18 @@ def rotate_structure(structure: WowStructure) -> WowStructure:
     The half-turn carries O's SW box to the rotated O's NE box and a left
     or lower neighbour to a right or upper one, so each adjacency condition
     maps onto its partner and the orientation is kept.
+
+    Lemma: compose(alpha, S°) = rotate180(compose(rotate180(alpha), S)),
+    and S° has S's key size and loose-end verdict.  The half-turn x -> k - x
+    negates every translation and swaps the roles of the two W copies, so
+    amalg_shift = min(upper) - min(lower) = max(upper) - max(lower) is
+    kept, and with the orientation so is dot_shift.  compose puts a copy of
+    gamma at c*e - r*n per box (r, c) of alpha; rotating gamma's copies and
+    negating those offsets is the half-turn of the copies placed by -alpha,
+    a translate of rotate180(alpha).  The key size n = dc - dr reads
+    amalg_shift.  The half-turn swaps the NW and SE rims, the left- and
+    right-removable ribbons and, reversing the diagonals, the top and
+    bottom key footprints, so it maps loose ends onto loose ends.
     """
     gamma = structure.gamma
     corner = (len(gamma.outer) - 1, gamma.outer[0] - 1)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -8,8 +9,9 @@ import sys
 import pytest
 
 import schurhopf
-from schurhopf import verifier
+from schurhopf import verifier, wow
 from schurhopf.cli import main
+from schurhopf.shapes import connected_shapes, format_shape
 
 
 def run(capsys, *argv):
@@ -256,14 +258,62 @@ def test_trace_json_golden_digest(capsys, extra, code, digest):
             0,
             "e78c27b0acbf75e8f66e3447218416470f563537371e06871bd59c6e44666a92",
         ),
+        (
+            ("search", "--max-size", "9", "--beta", "2,1", "--beta", "2,2", "--beta", "1",
+             "--beta", "3,1", "--json"),
+            0,
+            "91c5dff9781f2ce5ad2cfb707a6facd3a5c054c0985264cb8f39340bb23b8702",
+        ),
     ],
-    ids=["search-8", "h-basis-report"],
+    ids=["search-8", "h-basis-report", "search-9-four-betas"],
 )
 def test_json_golden_digest(capsys, argv, code, digest):
     # a search sweep and a report that renders h-basis terms, pinned byte for byte
     got_code, out, _ = run(capsys, *argv)
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@functools.cache
+def _reference_rows(size, betas):
+    """Rows of every gamma of this size, one gamma at a time, with no half-turn sharing."""
+    rows = []
+    for gamma in connected_shapes(size):
+        for structure in wow.detect_wow(gamma):
+            for beta in betas:
+                report = verifier.verify_main_theorem(beta, structure, strict=False, expansions=False)
+                rows.append(
+                    {
+                        "gamma": format_shape(gamma),
+                        "structure": structure.describe(),
+                        "orientation": structure.orientation,
+                        "keySize": structure.keys.size,
+                        "looseEnds": structure.loose_ends.found,
+                        "beta": list(beta),
+                        "hypothesesHold": report.mode == "theorem",
+                        "equal": report.equal,
+                    }
+                )
+    return rows
+
+
+@pytest.mark.parametrize("max_size", range(1, 10))
+@pytest.mark.parametrize(
+    "betas", [("2,1",), ("2,1", "2,2", "1", "3,1")], ids=["default", "four-betas"]
+)
+def test_search_matches_per_gamma_loop(capsys, max_size, betas):
+    # search handles a gamma and its half-turn together; the JSON must be the
+    # per-gamma loop's, byte for byte
+    argv = ["search", "--max-size", str(max_size), "--json"]
+    if betas != ("2,1",):
+        argv += [arg for beta in betas for arg in ("--beta", beta)]
+    code, out, _ = run(capsys, *argv)
+    parsed = tuple(tuple(map(int, beta.split(","))) for beta in betas)
+    rows = [row for n in range(1, max_size + 1) for row in _reference_rows(n, parsed)]
+    rows.sort(key=lambda r: (r["gamma"], r["structure"], r["beta"]))
+    payload = {"schema": 1, "maxSize": max_size, "instances": rows}
+    assert code == 0
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
 
 
 def test_h_degree_bound_exit_2(capsys):

@@ -67,6 +67,20 @@ def test_half_turn_is_schur_equal(shape):
     assert schur_equal(shape, rotate180(shape))
 
 
+# schur_equal answers a half-turn pair without expanding either side, so the
+# symmetry it relies on is checked here on the images themselves
+@PROPERTY
+@given(shapes(max_cells=16))
+def test_half_turn_keeps_h_image(shape):
+    assert h_expansion(shape) == h_expansion(rotate180(shape))
+
+
+@PROPERTY
+@given(shapes(max_cells=12))
+def test_half_turn_keeps_schur_image(shape):
+    assert schur_expand(shape) == schur_expand(rotate180(shape))
+
+
 @PROPERTY
 @given(shapes(max_cells=12))
 def test_h_route_agrees_with_lr(shape):

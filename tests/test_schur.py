@@ -273,6 +273,20 @@ class TestSchurEqual:
         for shape in box_bounded_shapes(5, 5):
             assert schur_equal(shape, rotate180(shape))
 
+    def test_half_turn_pair_shares_one_image(self):
+        # a half-turn pair is equal with no h-image, and a shape and its
+        # half-turn are expanded once between them
+        a, b = shp("3,1"), shp("2,2")
+        assert rotate180(a) != a
+        clear_caches()
+        assert schur_equal(a, rotate180(a))
+        assert h_expansion.cache_info().misses == 0
+        assert not schur_equal(a, b)
+        assert not schur_equal(rotate180(a), b)
+        assert not schur_equal(b, rotate180(a))
+        info = h_expansion.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
     def test_unequal_partitions(self):
         assert not schur_equal(shp("2,2"), shp("2,1,1"))
 

@@ -57,10 +57,11 @@ def _run(argv, tmp_path):
     "args",
     [
         ("search", "--max-size", "7", "--json"),
+        ("search", "--max-size", "7", "--beta", "2,1", "--beta", "1", "--json"),
         ("verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--trace", "--json"),
         ("verify", "--beta", "2,1", "--gamma", "8,7,2/3,1", "--json"),
     ],
-    ids=["search-7", "landmark-trace", "counterexample"],
+    ids=["search-7", "search-7-two-betas", "landmark-trace", "counterexample"],
 )
 def test_traced_run_matches_plain_run(args, tmp_path):
     # the traced run rebinds the FUNCTIONS by name and reads args[0].cells of

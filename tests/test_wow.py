@@ -404,6 +404,20 @@ class TestRotation:
                     rhs = compose(beta_star, rotate_structure(st))
                     assert lhs == rhs
 
+    def test_half_turn_lemma_on_catalog(self):
+        # the rotate_structure lemma that lets search copy gamma's rows to its
+        # half-turn: compose commutes with the half-turn up to beta's, and the
+        # key size and the loose-end verdict are kept
+        betas = [shp(text) for text in ("1", "2,1", "2,2", "3,1", "2,2,1", "3,3,2")]
+        catalog = wow.wow_catalog(9)
+        assert len(catalog) == 722
+        for st in catalog:
+            rot = rotate_structure(st)
+            assert rot.keys.size == st.keys.size, st.describe()
+            assert rot.loose_ends.found == st.loose_ends.found, st.describe()
+            for beta in betas:
+                assert compose(beta, rot) == rotate180(compose(rotate180(beta), st))
+
 
 class TestDerivedOnce:
     def test_keys_and_loose_ends_computed_once(self, monkeypatch):
