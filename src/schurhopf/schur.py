@@ -305,17 +305,14 @@ def half_turn_rep(shape: SkewShape) -> SkewShape:
 # cannot overflow below the degree bound H_LIMIT.
 H_BITS = 8
 H_LIMIT = 1 << H_BITS
-_H_MASK = H_LIMIT - 1
+_H_PART = [bytes((d,)) for d in range(H_LIMIT)]  # part d as a one-byte string
 
 
 def _h_partition(key: int) -> Partition:
-    parts: list[int] = []
-    d = 0
-    while key:
-        parts += [d] * (key & _H_MASK)
-        key >>= H_BITS
-        d += 1
-    return tuple(reversed(parts))
+    # a field is one byte, so byte d of the key is the multiplicity of d; the
+    # parts, each below H_LIMIT, are joined as bytes and read back reversed
+    fields = key.to_bytes((key.bit_length() + 7) // 8, "little")
+    return tuple(b"".join([_H_PART[d] * m for d, m in enumerate(fields) if m])[::-1])
 
 
 def h_terms(image):
@@ -384,7 +381,11 @@ def h_expansion(shape: SkewShape) -> MappingProxyType:
                             acc[k] = get(k, 0) - c
                 positive = not positive
             if 0 in acc.values():
-                acc = {k: c for k, c in acc.items() if c}
+                if i:  # a memo entry, dropped after the expansion: delete in place
+                    for k in [k for k, c in acc.items() if not c]:
+                        del acc[k]
+                else:  # the image, held by the cache: keep it compact
+                    acc = {k: c for k, c in acc.items() if c}
         memo[free] = acc
         return acc
 

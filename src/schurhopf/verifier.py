@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import hopf, schur, wow
 from .shapes import (
@@ -223,12 +223,14 @@ class Report:
                 ],
             }
 
+        # equal sides have one image, in either basis: render it once for both
+        lhs = expansion(self.lhs, self.lhs_shape)
         out = {
             "schema": 1,
             "instance": self.instance,
             "hypotheses": self.hypotheses,
-            "lhs": expansion(self.lhs, self.lhs_shape),
-            "rhs": expansion(self.rhs, self.rhs_shape),
+            "lhs": lhs,
+            "rhs": lhs if self.equal else expansion(self.rhs, self.rhs_shape),
             "lhsShape": format_shape(self.lhs_shape),
             "rhsShape": format_shape(self.rhs_shape),
             "equal": self.equal,
@@ -312,6 +314,12 @@ def verify_corollary(
 Combo = dict  # ShapeClass -> int, scaled by the basis denominator
 
 
+def _ratio_text(x: int, d: int) -> str:
+    """str(Fraction(x, d)) for d >= 1, without building the Fraction."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
 def _combo_add(acc: Combo, cls, coeff):
     if coeff:
         acc[cls] = acc.get(cls, 0) + coeff
@@ -371,14 +379,22 @@ class ProofTrace:
                 return f"{list(label[1])}-{list(label[2])}"
             return list(label)
 
+        d = self.denominator
+        rendered = []  # (image, terms): equal column sums share one term list
+
+        def render_terms(image):
+            for seen, terms in rendered:
+                if seen == image:
+                    return terms
+            terms = [
+                {"partition": list(p), "coefficient": _ratio_text(x, d)}
+                for p, x in schur.h_terms(image)
+            ]
+            rendered.append((image, terms))
+            return terms
+
         def render_sums(images):
-            return {
-                str(render_col(c)): [
-                    {"partition": list(p), "coefficient": str(Fraction(x, self.denominator))}
-                    for p, x in schur.h_terms(h)
-                ]
-                for c, h in images.items()
-            }
+            return {str(render_col(c)): render_terms(h) for c, h in images.items()}
 
         def render_direct(direct):
             return [{"ribbon": list(c), "cells": sorted(cells)} for c, cells, _ in direct]

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import schurhopf
-from schurhopf import verifier, wow
+from schurhopf import schur, verifier, wow
 from schurhopf.cli import main
 from schurhopf.shapes import connected_shapes, format_shape
 
@@ -111,6 +111,19 @@ class TestVerify:
         assert code == 0
         assert data["trace"]["balance"] is True
         assert data["trace"]["keySize"] == 5
+
+    def test_equal_h_report_expands_one_side(self, capsys):
+        # an equal report writes one h-image for both sides: schur_equal expands
+        # the two transposed sides, to_json only the lhs representative
+        schur.clear_caches()
+        code, out, _ = run(
+            capsys, "verify", "--beta", "2,2,1", "--gamma", "4,3,3,2,2,2/2,2,1,1,1", "--json"
+        )
+        data = json.loads(out)
+        assert code == 0 and data["equal"] is True
+        assert schur.h_expansion.cache_info().misses == 3
+        assert data["lhs"]["basis"] == "h" and data["lhs"]["terms"]
+        assert data["rhs"]["terms"] == data["lhs"]["terms"]
 
     def test_json_bit_stable(self, capsys):
         _, out1, _ = run(capsys, "verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--json")
@@ -264,11 +277,28 @@ def test_trace_json_golden_digest(capsys, extra, code, digest):
             0,
             "91c5dff9781f2ce5ad2cfb707a6facd3a5c054c0985264cb8f39340bb23b8702",
         ),
+        (
+            ("verify", "--beta", "3,2", "--gamma", "3,3,3,2/1,1,1", "--json"),
+            1,
+            "4a23b90078737398636cc93757a4b74a1072d2d4497575775c44390debe941f4",
+        ),
+        (
+            ("verify", "--beta", "2,1", "--gamma", "8,7,2/3,1", "--json"),
+            1,
+            "bf0bc68e7fe5e6d9b9415e9c95bb3f3218056a1f827c7aef38ce3b17b3516649",
+        ),
     ],
-    ids=["search-8", "h-basis-report", "search-9-four-betas"],
+    ids=[
+        "search-8",
+        "h-basis-report",
+        "search-9-four-betas",
+        "h-basis-differ",
+        "h-basis-counterexample",
+    ],
 )
 def test_json_golden_digest(capsys, argv, code, digest):
-    # a search sweep and a report that renders h-basis terms, pinned byte for byte
+    # search sweeps, an equal h-basis report and two differing ones (each side
+    # rendered from its own image), pinned byte for byte
     got_code, out, _ = run(capsys, *argv)
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,5 +1,6 @@
 """Property tests on random skew shapes (hypothesis; test-only dependency)."""
 
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -11,6 +12,7 @@ from schurhopf.schur import (
     H_BITS,
     H_LIMIT,
     SymFuncError,
+    _h_partition,
     h_expansion,
     h_terms,
     schur_equal,
@@ -28,6 +30,7 @@ from schurhopf.shapes import (
     transpose,
     translate_cells,
 )
+from schurhopf.verifier import _ratio_text
 from schurhopf.wow import RR, compose, wow_catalog
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -240,6 +243,47 @@ def test_h_product_is_multiset_union(p, q):
 def test_h_terms_decodes_packed_keys(coeffs):
     image = {_pack(p): c for p, c in coeffs.items()}
     assert list(h_terms(image)) == sorted(coeffs.items(), reverse=True)
+
+
+def _reference_h_partition(key: int):
+    """The packed key's partition, read one H_BITS-bit field per step."""
+    parts: list[int] = []
+    d = 0
+    while key:
+        parts += [d] * (key & (H_LIMIT - 1))
+        key >>= H_BITS
+        d += 1
+    return tuple(reversed(parts))
+
+
+# a part and a multiplicity each reach H_LIMIT - 1, one field at a time
+field = st.integers(1, H_LIMIT - 1)
+multiplicities = st.dictionaries(field, field, max_size=6)
+
+
+@PROPERTY
+@given(multiplicities)
+def test_byte_decoder_matches_shift_loop(counts):
+    parts = tuple(sorted((d for d, m in counts.items() for _ in range(m)), reverse=True))
+    key = _pack(parts)
+    assert _h_partition(key) == _reference_h_partition(key) == parts
+
+
+@pytest.mark.parametrize("m", [1, 2, H_LIMIT - 1])
+def test_byte_decoder_top_field_alone(m):
+    # only the top field is nonzero: every lower byte of the key is zero
+    key = m << (H_BITS * (H_LIMIT - 1))
+    assert _h_partition(key) == _reference_h_partition(key) == (H_LIMIT - 1,) * m
+
+
+@PROPERTY
+@given(
+    st.one_of(st.integers(-99, 99), st.integers(-(10**40), 10**40)),
+    st.one_of(st.integers(1, 99), st.integers(1, 10**30)),
+)
+def test_ratio_text_is_fraction_text(x, d):
+    # the trace writes each coefficient as the reduced x/d
+    assert _ratio_text(x, d) == str(Fraction(x, d))
 
 
 def test_h_degree_bound():
