@@ -36,6 +36,16 @@ def _emit(payload, as_json: bool, text_lines):
             print(line)
 
 
+def _monomial_text(exponents, coeff) -> str:
+    """c*x1^2*x3, with a coefficient of 1 left out unless no variable is left."""
+    variables = "*".join(
+        f"x{i+1}^{p}" if p > 1 else f"x{i+1}" for i, p in enumerate(exponents) if p
+    )
+    if not variables:
+        return str(coeff)
+    return variables if coeff == 1 else f"{coeff}*{variables}"
+
+
 def cmd_expand(args) -> int:
     shape = parse_shape(args.shape)
     if args.vars:
@@ -48,14 +58,7 @@ def cmd_expand(args) -> int:
                 {"exponents": list(e), "coefficient": c} for e, c in poly.terms
             ],
         }
-        lines = [
-            " + ".join(
-                (f"{c}*" if c != 1 else "")
-                + "*".join(f"x{i+1}^{p}" if p > 1 else f"x{i+1}" for i, p in enumerate(e) if p)
-                for e, c in poly.terms
-            )
-            or "0"
-        ]
+        lines = [" + ".join(_monomial_text(e, c) for e, c in poly.terms) or "0"]
         _emit(payload, args.json, lines)
         return 0
     f = schur.schur_expand(shape)
@@ -157,7 +160,7 @@ def _search_one(gamma, beta_list):
     for structure in wow.detect_wow(gamma):
         turned = wow.rotate_structure(structure).describe() if rotated != gamma else None
         for beta in beta_list:
-            report = verifier.verify_main_theorem(beta, structure, strict=False, expansions=False)
+            report = verifier.verify_main_theorem(beta, structure)
             row = {
                 "gamma": format_shape(gamma),
                 "structure": structure.describe(),

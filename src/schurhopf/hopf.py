@@ -47,9 +47,6 @@ class ShapeClass:
     def is_empty(self) -> bool:
         return not self.components
 
-    def __mul__(self, other: "ShapeClass") -> "ShapeClass":
-        return ShapeClass(self.components + other.components)
-
     def __repr__(self):
         if not self.components:
             return "ShapeClass(1)"
@@ -136,20 +133,6 @@ def counit(cls: ShapeClass) -> int:
     return 1 if cls.is_empty() else 0
 
 
-def coproduct_class(cls: ShapeClass) -> CoproductSum:
-    """Coproduct of a class: product of the component coproducts."""
-    total: CoproductSum = {(UNIT_CLASS, UNIT_CLASS): 1}
-    for comp in cls.components:
-        piece = coproduct(comp)
-        merged: CoproductSum = {}
-        for (a1, b1), m1 in total.items():
-            for (a2, b2), m2 in piece.items():
-                key = (a1 * a2, b1 * b2)
-                merged[key] = merged.get(key, 0) + m1 * m2
-        total = merged
-    return total
-
-
 def take_out_left(shape: SkewShape, m: ShapeClass) -> dict[ShapeClass, int]:
     """Right factors of coproduct terms whose left factor equals m."""
     out: dict[ShapeClass, int] = {}
@@ -216,10 +199,13 @@ def removable_ribbons(
 
 
 def _triple_expand(first_then: bool, terms: CoproductSum) -> dict:
-    """(Delta x id) or (id x Delta) applied to a coproduct sum."""
+    """(Delta x id) or (id x Delta) applied to a coproduct sum.
+
+    A class's coproduct is that of its direct sum, as s_{A (+) B} = s_A s_B.
+    """
     out: dict = {}
     for (a, b), m in terms.items():
-        inner = coproduct_class(a if first_then else b)
+        inner = coproduct((a if first_then else b).shape)
         for (x, y), mm in inner.items():
             key = (x, y, b) if first_then else (a, x, y)
             out[key] = out.get(key, 0) + m * mm

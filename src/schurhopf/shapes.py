@@ -50,8 +50,6 @@ def check_partition(parts) -> Partition:
     for a, b in zip(out, out[1:]):
         if b > a:
             raise ShapeError(f"parts not weakly decreasing: {tuple(out)}")
-    if any(p == 0 for p in out):
-        raise ShapeError(f"interior zero part in {tuple(out)}")
     return tuple(out)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import hopf, schur, wow
@@ -199,17 +200,34 @@ def filled_rectangle(beta: Partition, orientation: str) -> Partition:
     return (beta[0],) * len(beta)
 
 
+EXPANSION_LIMIT = 26  # beyond this the report omits Schur expansions
+
+
 @dataclass
 class Report:
+    """A verdict on two composed shapes; each side is Schur-expanded when first read."""
+
     instance: str
     hypotheses: dict
     lhs_shape: SkewShape
     rhs_shape: SkewShape
     equal: bool
     mode: str
-    lhs: schur.SymFunc | None = None
-    rhs: schur.SymFunc | None = None
     trace: "ProofTrace | None" = None
+
+    @cached_property
+    def lhs(self) -> schur.SymFunc | None:
+        """Schur expansion of the lhs, None past EXPANSION_LIMIT cells."""
+        shape = self.lhs_shape
+        return schur.schur_expand(shape) if shape.size <= EXPANSION_LIMIT else None
+
+    @cached_property
+    def rhs(self) -> schur.SymFunc | None:
+        """Schur expansion of the rhs; equal sides have one image, the lhs's."""
+        if self.equal:
+            return self.lhs
+        shape = self.rhs_shape
+        return schur.schur_expand(shape) if shape.size <= EXPANSION_LIMIT else None
 
     def to_json(self):
         def expansion(f, shape):
@@ -241,74 +259,50 @@ class Report:
         return out
 
 
-EXPANSION_LIMIT = 26  # beyond this the report omits Schur expansions
+def _build_report(
+    beta: Partition, structure: wow.WowStructure, strict: bool, corollary: bool
+) -> Report:
+    """beta o gamma against beta* o gamma, or against beta o gamma* for the corollary.
 
-
-def _check_hypotheses(beta: Partition, structure: wow.WowStructure) -> None:
-    """Raise unless beta and the structure satisfy the theorem's hypotheses."""
-    if not is_rect_minus_corner(beta):
-        raise BadBetaError(f"{beta} is not a rectangle minus its corner")
-    if structure.loose_ends.found:
-        raise HypothesesFailError("structure has loose end ribbons")
-
-
-def _build_report(instance, beta, structure, lhs_shape, rhs_shape, expansions=True) -> Report:
-    loose = structure.loose_ends
+    Under strict, raises unless beta and the structure satisfy the
+    theorem's hypotheses.
+    """
+    beta = tuple(beta)
     beta_ok = is_rect_minus_corner(beta)
-    hypotheses = {
-        "betaShape": beta_ok,
-        "looseEnds": loose.found,
-        "wowValid": True,
-    }
-    equal = schur.schur_equal(lhs_shape, rhs_shape)
-    small = expansions and max(lhs_shape.size, rhs_shape.size) <= EXPANSION_LIMIT
+    loose = structure.loose_ends.found
+    if strict and not beta_ok:
+        raise BadBetaError(f"{beta} is not a rectangle minus its corner")
+    if strict and loose:
+        raise HypothesesFailError("structure has loose end ribbons")
+    beta_shape = SkewShape(beta)
+    lhs = wow.compose(beta_shape, structure)
+    if corollary:
+        rhs = wow.compose(beta_shape, wow.rotate_structure(structure))
+    else:
+        rhs = wow.compose(rotate180(beta_shape), structure)
+    prefix = "corollary " if corollary else ""
     return Report(
-        instance=instance,
-        hypotheses=hypotheses,
-        lhs_shape=lhs_shape,
-        rhs_shape=rhs_shape,
-        equal=equal,
-        mode="theorem" if beta_ok and not loose.found else "outside theorem",
-        lhs=schur.schur_expand(lhs_shape) if small else None,
-        rhs=schur.schur_expand(rhs_shape) if small else None,
+        instance=f"{prefix}beta={','.join(map(str, beta))} gamma={format_shape(structure.gamma)}",
+        hypotheses={"betaShape": beta_ok, "looseEnds": loose, "wowValid": True},
+        lhs_shape=lhs,
+        rhs_shape=rhs,
+        equal=schur.schur_equal(lhs, rhs),
+        mode="theorem" if beta_ok and not loose else "outside theorem",
     )
 
 
 def verify_main_theorem(
-    beta: Partition,
-    structure: wow.WowStructure,
-    strict: bool = False,
-    expansions: bool = True,
+    beta: Partition, structure: wow.WowStructure, strict: bool = False
 ) -> Report:
     """Compare compose(beta) with compose(beta rotated) on one structure."""
-    beta = tuple(beta)
-    if strict:
-        _check_hypotheses(beta, structure)
-    beta_shape = SkewShape(beta)
-    lhs = wow.compose(beta_shape, structure)
-    rhs = wow.compose(rotate180(beta_shape), structure)
-    instance = f"beta={','.join(map(str, beta))} gamma={format_shape(structure.gamma)}"
-    return _build_report(instance, beta, structure, lhs, rhs, expansions)
+    return _build_report(beta, structure, strict, corollary=False)
 
 
 def verify_corollary(
-    beta: Partition,
-    structure: wow.WowStructure,
-    strict: bool = False,
-    expansions: bool = True,
+    beta: Partition, structure: wow.WowStructure, strict: bool = False
 ) -> Report:
     """Compare compose(beta) on the structure and on its half-turn."""
-    beta = tuple(beta)
-    if strict:
-        _check_hypotheses(beta, structure)
-    beta_shape = SkewShape(beta)
-    rotated = wow.rotate_structure(structure)
-    lhs = wow.compose(beta_shape, structure)
-    rhs = wow.compose(beta_shape, rotated)
-    instance = (
-        f"corollary beta={','.join(map(str, beta))} gamma={format_shape(structure.gamma)}"
-    )
-    return _build_report(instance, beta, structure, lhs, rhs, expansions)
+    return _build_report(beta, structure, strict, corollary=True)
 
 
 Combo = dict  # ShapeClass -> int, scaled by the basis denominator
@@ -431,20 +425,17 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     Builds s (beta with the corner filled), slices the coproduct of
     s composed with gamma at the key size, routes connected-ribbon
     factors to the direct terms and everything else into the matrices,
-    and checks the column equalities and the key-column balance.
+    and checks the column equalities and the key-column balance.  Its
+    instance, sides and verdict are those of verify_main_theorem.
     """
-    beta = tuple(beta)
-    if strict:
-        _check_hypotheses(beta, structure)
+    report = verify_main_theorem(beta, structure, strict)
+    lhs_shape, rhs_shape = report.lhs_shape, report.rhs_shape  # beta o gamma, beta* o gamma
     keys = structure.keys
     n = keys.size
     alpha1, alpha2 = keys.top, keys.bottom
     s_parts = filled_rectangle(beta, structure.orientation)
     degenerate = 1 in (len(s_parts), s_parts[0])
     s_shape, offsets, shift = wow.compose_layout(SkewShape(s_parts), structure)
-    beta_shape = SkewShape(beta)
-    lhs_shape = wow.compose(beta_shape, structure)  # beta o gamma
-    rhs_shape = wow.compose(rotate180(beta_shape), structure)  # beta* o gamma
 
     # ---- slice the coproduct at the key size ---------------------------
     def slice_side(key_on_left: bool):
@@ -576,11 +567,8 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
                 [(1, h_right[delta]), (-1, h_left[delta]), (-d, y_h)]
             )
 
-    equal = schur.schur_equal(lhs_shape, rhs_shape)
-
-    instance = f"beta={','.join(map(str, beta))} gamma={format_shape(structure.gamma)}"
     return ProofTrace(
-        instance=instance,
+        instance=report.instance,
         degenerate=degenerate,
         modified=modified,
         key_size=n,
@@ -601,7 +589,7 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
         key_column_equal=key_column_equal,
         lhs_shape=lhs_shape,
         rhs_shape=rhs_shape,
-        equal=equal,
+        equal=report.equal,
         direct_left=tuple(direct_left),
         direct_right=tuple(direct_right),
         extra_left=extra_left,

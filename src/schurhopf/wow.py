@@ -87,6 +87,7 @@ class WowStructure:
         return has_loose_end_ribbons(self)
 
     def _validate(self):
+        """Check the axioms; O is then a nonempty connected skew shape by Lemma 1 of detect_wow."""
         cells = self.gamma.cells
         if not is_connected(self.gamma):
             raise StructureError("gamma must be connected")
@@ -106,8 +107,6 @@ class WowStructure:
         for removed in (self.upper_w, self.lower_w):
             if not is_connected_skew(cells - removed):
                 raise StructureError("removing a W copy must leave a connected shape")
-        if not is_connected_skew(self.o_cells):
-            raise StructureError("O must be a connected shape")
         if _delta_span(self.upper_w)[0] - _delta_span(self.lower_w)[1] < 2:
             raise StructureError("need a diagonal strictly between the W copies")
         if self.orientation not in (RR, UU):

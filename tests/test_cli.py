@@ -54,6 +54,13 @@ class TestExpand:
         assert code == 0
         assert data["monomials"] == [{"coefficient": 1, "exponents": [1, 1]}]
 
+    @pytest.mark.parametrize("shape, k", [("0", "2"), ("2,2/2,2", "3")])
+    def test_vars_empty_shape_is_one(self, capsys, shape, k):
+        # s of the empty shape is the constant 1: a monomial with no variables
+        code, out, _ = run(capsys, "expand", shape, "--vars", k)
+        assert code == 0
+        assert out.strip() == "1"
+
 
 class TestVerify:
     def test_positive_exit_0(self, capsys):
@@ -125,6 +132,14 @@ class TestVerify:
         assert data["lhs"]["basis"] == "h" and data["lhs"]["terms"]
         assert data["rhs"]["terms"] == data["lhs"]["terms"]
 
+    @pytest.mark.parametrize("mode", [("--json",), ()], ids=["json", "text"])
+    def test_equal_report_expands_one_side(self, capsys, mode):
+        # a side is expanded when first read, and an equal report's rhs is its lhs
+        schur.clear_caches()
+        code, _, _ = run(capsys, "verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", *mode)
+        assert code == 0
+        assert schur.schur_expand.cache_info().misses == 1
+
     def test_json_bit_stable(self, capsys):
         _, out1, _ = run(capsys, "verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--json")
         _, out2, _ = run(capsys, "verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--json")
@@ -163,6 +178,13 @@ class TestSearch:
         landmark = [r for r in rows if r["gamma"] == "4,4,2,2/2,1"]
         assert landmark and all(r["equal"] and r["hypothesesHold"] for r in landmark)
         assert all(r["equal"] for r in rows if r["hypothesesHold"])
+
+    def test_search_expands_nothing(self, capsys):
+        # search reads only verdicts, so no report expands a side
+        schur.clear_caches()
+        code, _, _ = run(capsys, "search", "--max-size", "7", "--json")
+        assert code == 0
+        assert schur.schur_expand.cache_info().misses == 0
 
     def test_bad_bounds_exit_2(self, capsys):
         code, _, err = run(capsys, "search", "--max-size", "0")
@@ -311,7 +333,7 @@ def _reference_rows(size, betas):
     for gamma in connected_shapes(size):
         for structure in wow.detect_wow(gamma):
             for beta in betas:
-                report = verifier.verify_main_theorem(beta, structure, strict=False, expansions=False)
+                report = verifier.verify_main_theorem(beta, structure)
                 rows.append(
                     {
                         "gamma": format_shape(gamma),

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from schurhopf.shapes import (
@@ -8,6 +10,7 @@ from schurhopf.shapes import (
     ShapeError,
     SkewShape,
     box_bounded_shapes,
+    check_partition,
     connected_components,
     connected_shapes,
     diagonal,
@@ -34,6 +37,28 @@ from schurhopf.shapes import (
 
 def shp(text):
     return parse_shape(text)
+
+
+def _plain_partition(parts):
+    """Nonnegative, weakly decreasing parts read as a partition, else None."""
+    if min(parts, default=0) < 0 or list(parts) != sorted(parts, reverse=True):
+        return None
+    return tuple(p for p in parts if p)
+
+
+def test_check_partition_exhaustive():
+    # every tuple of length <= 6 over -1..4: the same partition, or an error from both
+    count = 0
+    for length in range(7):
+        for parts in itertools.product(range(-1, 5), repeat=length):
+            expected = _plain_partition(parts)
+            if expected is None:
+                with pytest.raises(ShapeError):
+                    check_partition(parts)
+            else:
+                assert check_partition(parts) == expected, parts
+            count += 1
+    assert count == 55_987
 
 
 class TestCellsOf:

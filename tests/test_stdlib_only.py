@@ -63,3 +63,43 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = set(_imported_names(tree)) - used
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def _module_private_names(tree):
+    """(name, defining statement) for each module-level _name, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _referenced_names(nodes):
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_private_name_is_referenced(path):
+    # a private helper that a deletion left behind is referenced nowhere else
+    tree = ast.parse(path.read_text(), filename=str(path))
+    others = set(
+        _referenced_names(ast.parse(p.read_text(), filename=str(p)) for p in SOURCES if p != path)
+    )
+    unreferenced = [
+        name
+        for name, statement in _module_private_names(tree)
+        if name not in others
+        and name not in _referenced_names(s for s in tree.body if s is not statement)
+    ]
+    assert not unreferenced, f"{path.name} defines {unreferenced} and never refers to them"

@@ -262,7 +262,8 @@ class TestVerify:
         assert report.equal
         assert report.mode == "theorem"
         assert report.hypotheses == {"betaShape": True, "looseEnds": False, "wowValid": True}
-        assert report.lhs is not None and report.lhs == report.rhs
+        assert report.lhs is not None and report.rhs is report.lhs
+        assert report.lhs == schur_expand(report.rhs_shape)  # an independent expansion
 
     def test_counterexample_unequal(self, counterexample_structure):
         report = verify_main_theorem((2, 1), counterexample_structure)
@@ -306,7 +307,7 @@ class TestTheoremAcrossBetas:
                     if has_loose_end_ribbons(st).found:
                         continue
                     for beta in betas:
-                        report = verify_main_theorem(beta, st, expansions=False)
+                        report = verify_main_theorem(beta, st)
                         assert report.equal, (beta, st)
                         checked += 1
         assert checked > 40

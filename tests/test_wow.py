@@ -230,6 +230,43 @@ class TestSides:
         assert seen == {RR: {"NW", "SE"}, UU: {"NW", "SE"}}
 
 
+def _w_pairs_passing_other_axioms(max_size):
+    """(gamma, top, bottom) for every pair passing the axioms _validate still checks.
+
+    Two translates with a diagonal of gamma between them hold at most
+    (|gamma| - 1) // 2 cells each, so the walk stops there.
+    """
+    for n in range(1, max_size + 1):
+        for gamma in connected_shapes(n):
+            cells = gamma.cells
+            max_w = (n - 1) // 2
+
+            def pool(anchor):
+                return [
+                    w
+                    for w in _connected_subsets(cells, anchor, max_w)
+                    if is_connected_skew(w) and is_connected_skew(cells - w)
+                ]
+
+            bottoms = pool(sw_box(cells))
+            for t in pool(ne_box(cells)):
+                for b in bottoms:
+                    gap = min(map(_row_minus_col, b)) - max(map(_row_minus_col, t))
+                    if gap >= 2 and canonicalize_cells(t) == canonicalize_cells(b):
+                        yield gamma, t, b
+
+
+def test_o_is_connected_by_lemma_1():
+    # Lemma 1 of detect_wow: the axioms left in _validate make O a nonempty
+    # connected skew shape, so _validate does not check it
+    pairs = 0
+    for gamma, t, b in _w_pairs_passing_other_axioms(8):
+        o = gamma.cells - t - b
+        assert o and is_connected_skew(o), (format_shape(gamma), sorted(t), sorted(b))
+        pairs += 1
+    assert pairs == 592
+
+
 class TestAgainstSubsetWalk:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_connected_gamma(self, n):
