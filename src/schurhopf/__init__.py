@@ -27,7 +27,6 @@ from .schur import (
     schur_expand,
 )
 from .hopf import (
-    ShapeClass,
     check_coassociativity,
     coproduct,
     counit,

@@ -48,7 +48,7 @@ def _monomial_text(exponents, coeff) -> str:
 
 def cmd_expand(args) -> int:
     shape = parse_shape(args.shape)
-    if args.vars:
+    if args.vars is not None:
         poly = schur.monomial_expansion(shape, args.vars)
         payload = {
             "schema": SCHEMA,
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_expand = sub.add_parser("expand", help="expand a shape's Schur function")
     p_expand.add_argument("shape", help='shape, e.g. "4,4,2,2/2,1" or "3,1" or "0"')
-    p_expand.add_argument("--vars", type=int, default=0, help="print the k-variable monomial expansion instead")
+    p_expand.add_argument("--vars", type=int, default=None, help="print the k-variable monomial expansion instead")
     p_expand.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="verify the composition identity on one instance")

@@ -2,14 +2,14 @@
 
 Elements are formal integer combinations of shape classes, where a class
 is the multiset of connected components of a shape up to translation.
-The coproduct of lambda/mu sums eta/mu (x) lambda/eta over the interval
-mu <= eta <= lambda in Young's lattice.  The antipode is never needed.
+A class is held as the direct sum of its components in shape order, a
+plain SkewShape; as s_{A (+) B} = s_A s_B, its image and its coproduct
+are those of that shape.  The coproduct of lambda/mu sums
+eta/mu (x) lambda/eta over the interval mu <= eta <= lambda in Young's
+lattice.  The antipode is never needed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 from . import schur
 from .shapes import (
@@ -19,53 +19,26 @@ from .shapes import (
     direct_sum,
     format_shape,
     half_turn,
+    is_connected,
     rotate180,
-    shape_sort_key,
     skew_from_cells,
 )
 
 
-@dataclass(frozen=True)
-class ShapeClass:
-    """Multiset of connected nonempty shapes; the empty multiset is the unit."""
+def shape_class(shape: SkewShape) -> SkewShape:
+    """Class of a shape: the direct sum of its connected components in shape order.
 
-    components: tuple[SkewShape, ...]
-
-    def __post_init__(self):
-        comps = tuple(sorted(self.components, key=shape_sort_key))
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def size(self) -> int:
-        return sum(c.size for c in self.components)
-
-    @cached_property
-    def shape(self) -> SkewShape:
-        """The components' direct sum; s_{A (+) B} = s_A s_B makes its image the class's."""
-        return direct_sum(self.components)
-
-    def is_empty(self) -> bool:
-        return not self.components
-
-    def __repr__(self):
-        if not self.components:
-            return "ShapeClass(1)"
-        return "ShapeClass({%s})" % ", ".join(format_shape(c) for c in self.components)
+    Components of a direct sum share no row or column, so they are the
+    pieces it was built from, and distinct multisets give distinct classes.
+    """
+    return shape if is_connected(shape) else direct_sum(connected_components(shape))
 
 
-UNIT_CLASS = ShapeClass(())
-
-
-def shape_class(shape: SkewShape) -> ShapeClass:
-    """Class of a shape: its multiset of connected components."""
-    return ShapeClass(connected_components(shape))
-
-
-def class_of_cells(cells) -> ShapeClass:
+def class_of_cells(cells) -> SkewShape:
     return shape_class(skew_from_cells(cells))
 
 
-CoproductSum = dict  # (ShapeClass, ShapeClass) -> int
+CoproductSum = dict  # (class, class) -> int
 
 
 def _interval_splits(shape: SkewShape, left_size: int | None = None):
@@ -128,23 +101,25 @@ def coproduct_slice(shape: SkewShape, left_size: int):
     return list(_interval_splits(shape, left_size))
 
 
-def counit(cls: ShapeClass) -> int:
+def counit(cls: SkewShape) -> int:
     """1 on the empty class, 0 on anything with at least one box."""
-    return 1 if cls.is_empty() else 0
+    return 0 if cls.size else 1
 
 
-def take_out_left(shape: SkewShape, m: ShapeClass) -> dict[ShapeClass, int]:
-    """Right factors of coproduct terms whose left factor equals m."""
-    out: dict[ShapeClass, int] = {}
+def take_out_left(shape: SkewShape, m: SkewShape) -> dict[SkewShape, int]:
+    """Right factors of coproduct terms whose left factor is the class of m."""
+    m = shape_class(m)
+    out: dict[SkewShape, int] = {}
     for (a, b), mult in coproduct(shape).items():
         if a == m:
             out[b] = out.get(b, 0) + mult
     return out
 
 
-def take_out_right(shape: SkewShape, m: ShapeClass) -> dict[ShapeClass, int]:
-    """Left factors of coproduct terms whose right factor equals m."""
-    out: dict[ShapeClass, int] = {}
+def take_out_right(shape: SkewShape, m: SkewShape) -> dict[SkewShape, int]:
+    """Left factors of coproduct terms whose right factor is the class of m."""
+    m = shape_class(m)
+    out: dict[SkewShape, int] = {}
     for (a, b), mult in coproduct(shape).items():
         if b == m:
             out[a] = out.get(a, 0) + mult
@@ -199,13 +174,10 @@ def removable_ribbons(
 
 
 def _triple_expand(first_then: bool, terms: CoproductSum) -> dict:
-    """(Delta x id) or (id x Delta) applied to a coproduct sum.
-
-    A class's coproduct is that of its direct sum, as s_{A (+) B} = s_A s_B.
-    """
+    """(Delta x id) or (id x Delta) applied to a coproduct sum."""
     out: dict = {}
     for (a, b), m in terms.items():
-        inner = coproduct((a if first_then else b).shape)
+        inner = coproduct(a if first_then else b)
         for (x, y), mm in inner.items():
             key = (x, y, b) if first_then else (a, x, y)
             out[key] = out.get(key, 0) + m * mm
@@ -221,8 +193,8 @@ def check_coassociativity(shape: SkewShape) -> bool:
 def check_counit_laws(shape: SkewShape) -> bool:
     """Collapsing either factor with the counit recovers the class."""
     cls = shape_class(shape)
-    left: dict[ShapeClass, int] = {}
-    right: dict[ShapeClass, int] = {}
+    left: dict[SkewShape, int] = {}
+    right: dict[SkewShape, int] = {}
     for (a, b), m in coproduct(shape).items():
         if counit(a):
             left[b] = left.get(b, 0) + m
@@ -245,16 +217,16 @@ def combo_to_h(combo: dict) -> dict:
     sums by one common denominator first); the combination is zero as a
     symmetric function exactly when the result is empty.
     """
-    return schur.h_sum((m, schur.h_expansion(cls.shape)) for cls, m in combo.items())
+    return schur.h_sum((m, schur.h_expansion(cls)) for cls, m in combo.items())
 
 
-def _combos_equal_as_symfuncs(lhs: dict[ShapeClass, int], rhs: dict[ShapeClass, int]) -> bool:
+def _combos_equal_as_symfuncs(lhs: dict[SkewShape, int], rhs: dict[SkewShape, int]) -> bool:
     """Whether two integer class combinations map to the same symmetric function.
 
     Classes cancel symbolically first; any residue is compared through the
     h-basis, where equality of symmetric functions is plain dict equality.
     """
-    residue: dict[ShapeClass, int] = dict(lhs)
+    residue: dict[SkewShape, int] = dict(lhs)
     for cls, m in rhs.items():
         residue[cls] = residue.get(cls, 0) - m
     return not combo_to_h({c: m for c, m in residue.items() if m != 0})
@@ -281,7 +253,7 @@ def image_cocommutativity(shape: SkewShape, slice_size: int | None = None) -> bo
         for left, right in slice_terms:
             small = class_of_cells(left if left_small else right)
             big = class_of_cells(right if left_small else left)
-            for p, c in schur.schur_expand(small.shape).coeffs:
+            for p, c in schur.schur_expand(small).coeffs:
                 buckets.setdefault(p, {})
                 buckets[p][big] = buckets[p].get(big, 0) + c
         return buckets
@@ -299,8 +271,8 @@ def coproduct_to_json(terms: CoproductSum):
     for (a, b), m in terms.items():
         rows.append(
             {
-                "left": [format_shape(c) for c in a.components],
-                "right": [format_shape(c) for c in b.components],
+                "left": [format_shape(c) for c in connected_components(a)],
+                "right": [format_shape(c) for c in connected_components(b)],
                 "mult": m,
             }
         )

@@ -283,7 +283,11 @@ def components_of_cells(cells) -> list[frozenset[Cell]]:
 
 
 def connected_components(shape: SkewShape) -> tuple[SkewShape, ...]:
-    """Connected components as canonical shapes, in deterministic order."""
+    """Connected components as canonical shapes, in shape_sort_key order.
+
+    hopf.shape_class relies on this order: a class is the direct sum of
+    these components, so the order makes that shape canonical.
+    """
     comps = [skew_from_cells(c) for c in components_of_cells(shape.cells)]
     return tuple(sorted(comps, key=shape_sort_key))
 

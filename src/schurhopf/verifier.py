@@ -305,7 +305,7 @@ def verify_corollary(
     return _build_report(beta, structure, strict, corollary=True)
 
 
-Combo = dict  # ShapeClass -> int, scaled by the basis denominator
+Combo = dict  # class shape (hopf.shape_class) -> int, scaled by the basis denominator
 
 
 def _ratio_text(x: int, d: int) -> str:
@@ -506,7 +506,7 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
         columns[i2] = ("delta", alpha2, alpha1)
 
     def vector_for(cls) -> list[int]:
-        coeffs = schur.schur_expand(cls.shape).as_dict()
+        coeffs = schur.schur_expand(cls).as_dict()
         vec = list(_solve_in_basis(basis, coeffs))
         if modified:
             vec[i1] += vec[i2]
@@ -557,7 +557,7 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     key = columns[i1]
     key_column_equal = h_right[key] == h_left[key]
     if x_class is not None and y_class is not None:
-        x_h, y_h = schur.h_expansion(x_class.shape), schur.h_expansion(y_class.shape)
+        x_h, y_h = schur.h_expansion(x_class), schur.h_expansion(y_class)
         balance_ok = not schur.h_sum(
             [(1, h_right[key]), (-1, h_left[key]), (d, x_h), (-d, y_h)]
         )

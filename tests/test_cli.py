@@ -202,6 +202,8 @@ class TestSearch:
         ("search", "--max-size", "3", "--beta", "3,3/1,1"),
         # an empty beta is bad input before any hypothesis is weighed
         ("verify", "--beta", "0", "--gamma", "4,4,2,2/2,1", "--strict"),
+        # zero variables is refused, not read as "no --vars"
+        ("expand", "2", "--vars", "0"),
     ],
 )
 def test_library_error_exit_2(capsys, argv):

@@ -1,8 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
 from schurhopf.hopf import (
-    UNIT_CLASS,
-    ShapeClass,
     check_coassociativity,
     check_counit_laws,
     coproduct,
@@ -18,10 +19,13 @@ from schurhopf.hopf import (
 )
 from schurhopf.schur import schur_expand
 from schurhopf.shapes import (
+    EMPTY_SHAPE,
     SkewShape,
     box_bounded_shapes,
+    connected_components,
     connected_shapes,
     connected_skew,
+    direct_sum,
     format_shape,
     is_connected,
     is_ribbon,
@@ -35,7 +39,7 @@ def shp(text):
 
 
 def cls(*texts):
-    return ShapeClass(tuple(shp(t) for t in texts))
+    return shape_class(direct_sum(shp(t) for t in texts))
 
 
 def _removable_ribbons_by_slices(shape, n, side):
@@ -57,30 +61,30 @@ class TestCoproduct:
     def test_single_box(self):
         terms = coproduct(shp("1"))
         assert terms == {
-            (UNIT_CLASS, cls("1")): 1,
-            (cls("1"), UNIT_CLASS): 1,
+            (EMPTY_SHAPE, cls("1")): 1,
+            (cls("1"), EMPTY_SHAPE): 1,
         }
 
     def test_row_of_two(self):
         terms = coproduct(shp("2"))
         assert terms == {
-            (UNIT_CLASS, cls("2")): 1,
+            (EMPTY_SHAPE, cls("2")): 1,
             (cls("1"), cls("1")): 1,
-            (cls("2"), UNIT_CLASS): 1,
+            (cls("2"), EMPTY_SHAPE): 1,
         }
 
     def test_hook(self):
         terms = coproduct(shp("2,1"))
         assert terms == {
-            (UNIT_CLASS, cls("2,1")): 1,
+            (EMPTY_SHAPE, cls("2,1")): 1,
             (cls("1"), cls("1", "1")): 1,
             (cls("2"), cls("1")): 1,
             (cls("1,1"), cls("1")): 1,
-            (cls("2,1"), UNIT_CLASS): 1,
+            (cls("2,1"), EMPTY_SHAPE): 1,
         }
 
     def test_empty(self):
-        assert coproduct(SkewShape(())) == {(UNIT_CLASS, UNIT_CLASS): 1}
+        assert coproduct(SkewShape(())) == {(EMPTY_SHAPE, EMPTY_SHAPE): 1}
 
     def test_grading(self):
         for shape in box_bounded_shapes(5, 5):
@@ -93,14 +97,14 @@ class TestCoproduct:
         for shape in box_bounded_shapes(5, 5):
             if is_connected(shape):
                 continue
-            total = {(UNIT_CLASS, UNIT_CLASS): 1}
-            for comp in shape_class(shape).components:
+            total = {(EMPTY_SHAPE, EMPTY_SHAPE): 1}
+            for comp in connected_components(shape):
                 merged = {}
                 for (a1, b1), m1 in total.items():
                     for (a2, b2), m2 in coproduct(comp).items():
                         key = (
-                            ShapeClass(a1.components + a2.components),
-                            ShapeClass(b1.components + b2.components),
+                            shape_class(direct_sum((a1, a2))),
+                            shape_class(direct_sum((b1, b2))),
                         )
                         merged[key] = merged.get(key, 0) + m1 * m2
                 total = merged
@@ -115,7 +119,7 @@ class TestCoproduct:
 
 class TestCounit:
     def test_values(self):
-        assert counit(UNIT_CLASS) == 1
+        assert counit(EMPTY_SHAPE) == 1
         assert counit(cls("1")) == 0
         assert counit(cls("3,1")) == 0
 
@@ -130,12 +134,19 @@ class TestTakeOut:
         out = take_out_left(shp("2,1"), cls("1"))
         assert out == {cls("1", "1"): 1}
 
+    def test_any_layout_of_the_class(self):
+        # two boxes a column apart are the class of two boxes, not a shape of its own
+        staircase = shp("3,2/1")
+        assert take_out_left(staircase, shp("3,1/2")) == take_out_left(staircase, cls("1", "1"))
+        assert take_out_right(staircase, shp("3,1/2")) == take_out_right(staircase, cls("1", "1"))
+        assert take_out_left(staircase, cls("1", "1"))
+
     def test_column_from_row(self):
         assert take_out_left(shp("2"), cls("1,1")) == {}
 
     def test_whole_shape(self):
         shape = shp("3,1")
-        assert take_out_left(shape, shape_class(shape)) == {UNIT_CLASS: 1}
+        assert take_out_left(shape, shape_class(shape)) == {EMPTY_SHAPE: 1}
 
     def test_right_mirror(self):
         out = take_out_right(shp("2,1"), cls("1"))
@@ -206,8 +217,8 @@ class TestImageAgainstLRCoproduct:
                 continue
             via_interval = {}
             for (a, b), m in coproduct(shape).items():
-                fa = schur_expand(a.shape)
-                fb = schur_expand(b.shape)
+                fa = schur_expand(a)
+                fb = schur_expand(b)
                 for pa, ca in fa.coeffs:
                     for pb, cb in fb.coeffs:
                         key = (pa, pb)
@@ -235,9 +246,26 @@ class TestClasses:
         assert hash(a) == hash(b)
 
     def test_class_schur(self):
-        f = schur_expand(cls("1", "1").shape)
+        f = schur_expand(cls("1", "1"))
         assert f.as_dict() == {(2,): 1, (1, 1): 1}
+
+    def test_class_is_direct_sum_of_components(self):
+        # the connected short-circuit agrees with the general form, the class
+        # keeps the component multiset (so distinct multisets never collide),
+        # and taking the class twice changes nothing
+        for s in box_bounded_shapes(6, 6):
+            c = shape_class(s)
+            assert c == direct_sum(connected_components(s)), format_shape(s)
+            assert connected_components(c) == connected_components(s), format_shape(s)
+            assert shape_class(c) == c, format_shape(s)
 
     def test_json(self):
         rows = coproduct_to_json(coproduct(shp("2")))
         assert {"left": [], "right": ["2"], "mult": 1} in rows
+
+    def test_json_digest(self):
+        # pinned output: the coproduct JSON of every shape of box_bounded_shapes(6, 5)
+        digest = hashlib.sha256()
+        for s in box_bounded_shapes(6, 5):
+            digest.update(json.dumps(coproduct_to_json(coproduct(s)), sort_keys=True).encode())
+        assert digest.hexdigest()[:16] == "07cb835b9e6732ab"

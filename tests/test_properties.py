@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurhopf.hopf import ShapeClass
 from schurhopf.schur import (
     H_BITS,
     H_LIMIT,
@@ -293,9 +292,9 @@ def test_h_degree_bound():
     assert list(h_terms(h_expansion(SkewShape((H_LIMIT - 1,))))) == [((H_LIMIT - 1,), 1)]
     with pytest.raises(SymFuncError):
         h_expansion(SkewShape((H_LIMIT,)))
-    halves = ShapeClass((SkewShape((H_LIMIT // 2,)),) * 2)
+    halves = direct_sum((SkewShape((H_LIMIT // 2,)),) * 2)
     with pytest.raises(SymFuncError):
-        h_expansion(halves.shape)
+        h_expansion(halves)
 
 
 @cache
