@@ -43,6 +43,7 @@ from .wow import (
     compose,
     detect_wow,
     dot_w,
+    find_structure,
     has_loose_end_ribbons,
     key_ribbons,
     rotate_structure,

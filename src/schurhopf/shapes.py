@@ -230,11 +230,6 @@ def is_connected_skew(cells) -> bool:
     return True
 
 
-def connected_skew(cells) -> SkewShape | None:
-    """The shape of a cell set that is a connected skew shape, else None."""
-    return skew_from_cells(cells) if is_connected_skew(cells) else None
-
-
 def rotate180(shape: SkewShape) -> SkewShape:
     """Rotate a shape half a turn; an involution on shapes."""
     width = shape.outer[0] if shape.outer else 0

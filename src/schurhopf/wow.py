@@ -6,11 +6,14 @@ northeasternmost box) and one in the bottom, separated by at least one
 diagonal, whose removal singly or jointly leaves connected shapes, with
 the orientation-specific adjacency between O and the W copies.  W is
 then maximal on its diagonals; detect_wow's docstring proves it.
+
+A structure is valid exactly when it is a member of detect_wow(gamma);
+WowStructure checks nothing, and find_structure is the checked way in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import hopf
@@ -22,7 +25,6 @@ from .shapes import (
     SkewShape,
     canonicalize_cells,
     connected_shapes,
-    connected_skew,
     diagonal,
     format_shape,
     half_turn,
@@ -50,20 +52,20 @@ class StructureError(ValueError):
 
 @dataclass(frozen=True)
 class WowStructure:
-    """A structure on gamma; construction checks the axioms (StructureError)."""
+    """A structure on gamma; built only by detect_wow and rotate_structure, unchecked."""
 
     gamma: SkewShape
     orientation: str
     upper_w: frozenset[Cell]
     lower_w: frozenset[Cell]
-    o_cells: frozenset[Cell] = field(init=False)
-    w_shape: SkewShape = field(init=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "o_cells", frozenset(self.gamma.cells - self.upper_w - self.lower_w)
-        )
-        self._validate()
+    @cached_property
+    def o_cells(self) -> frozenset[Cell]:
+        return self.gamma.cells - self.upper_w - self.lower_w
+
+    @cached_property
+    def w_shape(self) -> SkewShape:
+        return skew_from_cells(self.upper_w)
 
     @cached_property
     def amalg_shift(self) -> Cell:
@@ -85,34 +87,6 @@ class WowStructure:
     @cached_property
     def loose_ends(self) -> LooseEnds:
         return has_loose_end_ribbons(self)
-
-    def _validate(self):
-        """Check the axioms; O is then a nonempty connected skew shape by Lemma 1 of detect_wow."""
-        cells = self.gamma.cells
-        if not is_connected(self.gamma):
-            raise StructureError("gamma must be connected")
-        if not (self.upper_w <= cells and self.lower_w <= cells):
-            raise StructureError("W copies must lie inside gamma")
-        upper = connected_skew(self.upper_w)
-        lower = connected_skew(self.lower_w)
-        if upper is None or lower is None:
-            raise StructureError("each W copy must be a connected skew shape")
-        if upper != lower:
-            raise StructureError("the two W copies must be translates of one shape")
-        object.__setattr__(self, "w_shape", upper)
-        if ne_box(cells) not in self.upper_w:
-            raise StructureError("upper W must lie in the top of gamma")
-        if sw_box(cells) not in self.lower_w:
-            raise StructureError("lower W must lie in the bottom of gamma")
-        for removed in (self.upper_w, self.lower_w):
-            if not is_connected_skew(cells - removed):
-                raise StructureError("removing a W copy must leave a connected shape")
-        if _delta_span(self.upper_w)[0] - _delta_span(self.lower_w)[1] < 2:
-            raise StructureError("need a diagonal strictly between the W copies")
-        if self.orientation not in (RR, UU):
-            raise StructureError(f"unknown orientation {self.orientation!r}")
-        if not _adjacency_holds(self.o_cells, self.upper_w, self.lower_w, self.orientation):
-            raise StructureError("O / W adjacency fails for this orientation")
 
     def describe(self) -> str:
         arrow = "->" if self.orientation == RR else "^"
@@ -239,7 +213,7 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
     if gamma.size == 0:
         return []
     if not is_connected(gamma):
-        raise DisconnectedError("detect_wow requires a connected gamma")
+        raise DisconnectedError("gamma must be connected")
     cells = gamma.cells
     corner = (len(gamma.outer) - 1, gamma.outer[0] - 1)
     tops = _index(_top_placements(gamma))
@@ -257,6 +231,18 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
         key=lambda s: (-len(s.upper_w), s.orientation, sorted(s.upper_w), sorted(s.lower_w))
     )
     return out
+
+
+def find_structure(gamma: SkewShape, orientation: str, upper_w, lower_w) -> WowStructure:
+    """The member of detect_wow(gamma) with these W cell sets; else StructureError only."""
+    try:
+        structures = detect_wow(gamma)
+    except DisconnectedError as exc:
+        raise StructureError(str(exc)) from None
+    for st in structures:
+        if (st.orientation, st.upper_w, st.lower_w) == (orientation, upper_w, lower_w):
+            return st
+    raise StructureError(f"no {orientation} structure on {format_shape(gamma)} has these W")
 
 
 def amalgamate(
@@ -441,9 +427,14 @@ def has_loose_end_ribbons(structure: WowStructure) -> LooseEnds:
 def rotate_structure(structure: WowStructure) -> WowStructure:
     """Half-turn of the whole structure; the W roles swap ends.
 
-    The half-turn carries O's SW box to the rotated O's NE box and a left
-    or lower neighbour to a right or upper one, so each adjacency condition
-    maps onto its partner and the orientation is kept.
+    It is built unchecked: the half-turn x -> k - x maps each axiom onto
+    itself.  It keeps connectivity and reverses the product order, so
+    skew sets stay skew, removals stay connected skew shapes and the W
+    copies stay translates of one shape.  It swaps the NE and SW boxes,
+    so upper and lower W swap; it maps diagonal d to k1 - k0 - d, which
+    keeps the gap; and it carries O's SW box to its NE box and a left or
+    lower neighbour to a right or upper one, so each adjacency maps onto
+    its partner and the orientation is kept.
 
     Lemma: compose(alpha, S°) = rotate180(compose(rotate180(alpha), S)),
     and S° has S's key size and loose-end verdict.  The half-turn x -> k - x

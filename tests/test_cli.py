@@ -204,6 +204,7 @@ class TestSearch:
         ("verify", "--beta", "0", "--gamma", "4,4,2,2/2,1", "--strict"),
         # zero variables is refused, not read as "no --vars"
         ("expand", "2", "--vars", "0"),
+        ("verify", "--beta", "2,1", "--gamma", "2,1/1"),
     ],
 )
 def test_library_error_exit_2(capsys, argv):

@@ -24,13 +24,14 @@ from schurhopf.shapes import (
     box_bounded_shapes,
     connected_components,
     connected_shapes,
-    connected_skew,
     direct_sum,
     format_shape,
     is_connected,
+    is_connected_skew,
     is_ribbon,
     parse_shape,
     ribbon_composition_of,
+    skew_from_cells,
 )
 
 
@@ -50,7 +51,7 @@ def _removable_ribbons_by_slices(shape, n, side):
         picked = (right for _, right in coproduct_slice(shape, shape.size - n))
     out = []
     for cells in picked:
-        piece = connected_skew(cells)
+        piece = skew_from_cells(cells) if is_connected_skew(cells) else None
         if piece is not None and is_ribbon(piece):
             out.append((ribbon_composition_of(piece), cells))
     out.sort(key=lambda item: tuple(sorted(item[1])))

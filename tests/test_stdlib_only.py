@@ -103,3 +103,24 @@ def test_every_private_name_is_referenced(path):
         and name not in _referenced_names(s for s in tree.body if s is not statement)
     ]
     assert not unreferenced, f"{path.name} defines {unreferenced} and never refers to them"
+
+
+def _called_names(tree):
+    """The name of each call: f for f(...) and attr for x.attr(...)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id
+            elif isinstance(func, ast.Attribute):
+                yield func.attr
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "wow.py"], ids=lambda p: p.name
+)
+def test_only_wow_builds_structures(path):
+    # a structure is valid when detect_wow finds it; WowStructure checks nothing,
+    # so no other module may build one (wow.find_structure is the checked way in)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "WowStructure" not in set(_called_names(tree)), f"{path.name} builds a WowStructure"

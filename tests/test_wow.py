@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 
 from schurhopf import wow
@@ -6,6 +9,7 @@ from schurhopf.shapes import (
     canonicalize_cells,
     connected_shapes,
     format_shape,
+    is_connected,
     is_connected_skew,
     ne_box,
     neighbors,
@@ -29,6 +33,7 @@ from schurhopf.wow import (
     compose_layout,
     detect_wow,
     dot_w,
+    find_structure,
     has_loose_end_ribbons,
     key_ribbons,
     rotate_structure,
@@ -114,7 +119,7 @@ class TestDetect:
     def test_validation_rejects_garbage(self):
         gamma = shp("4,4,2,2/2,1")
         with pytest.raises(StructureError):
-            WowStructure(gamma, RR, frozenset({(0, 3)}), frozenset({(3, 0)}))
+            find_structure(gamma, RR, frozenset({(0, 3)}), frozenset({(3, 0)}))
 
     @pytest.mark.parametrize(
         "upper, lower",
@@ -129,7 +134,7 @@ class TestDetect:
         # say so with StructureError rather than leak NotSkewError
         gamma = shp("4,4,2,2/2,1")
         with pytest.raises(StructureError):
-            WowStructure(gamma, RR, frozenset(upper), frozenset(lower))
+            find_structure(gamma, RR, frozenset(upper), frozenset(lower))
 
 
 def _connected_subsets(cells, anchor, max_size):
@@ -201,6 +206,84 @@ def _reference_detect(gamma):
     return out
 
 
+def _reference_validate(gamma, orientation, upper_w, lower_w):
+    """Reference: the axioms checked one by one; StructureError names the first that fails.
+
+    O's connectivity is left out, as Lemma 1 of detect_wow derives it.
+    """
+    cells = gamma.cells
+    if not is_connected(gamma):
+        raise StructureError("gamma must be connected")
+    if not (upper_w <= cells and lower_w <= cells):
+        raise StructureError("W copies must lie inside gamma")
+    upper = skew_from_cells(upper_w) if is_connected_skew(upper_w) else None
+    lower = skew_from_cells(lower_w) if is_connected_skew(lower_w) else None
+    if upper is None or lower is None:
+        raise StructureError("each W copy must be a connected skew shape")
+    if upper != lower:
+        raise StructureError("the two W copies must be translates of one shape")
+    if ne_box(cells) not in upper_w:
+        raise StructureError("upper W must lie in the top of gamma")
+    if sw_box(cells) not in lower_w:
+        raise StructureError("lower W must lie in the bottom of gamma")
+    for removed in (upper_w, lower_w):
+        if not is_connected_skew(cells - removed):
+            raise StructureError("removing a W copy must leave a connected shape")
+    if min(map(_row_minus_col, lower_w)) - max(map(_row_minus_col, upper_w)) < 2:
+        raise StructureError("need a diagonal strictly between the W copies")
+    if orientation not in (RR, UU):
+        raise StructureError(f"unknown orientation {orientation!r}")
+    if not wow._adjacency_holds(cells - upper_w - lower_w, upper_w, lower_w, orientation):
+        raise StructureError("O / W adjacency fails for this orientation")
+
+
+def _reference_accepts(gamma, orientation, upper_w, lower_w):
+    try:
+        _reference_validate(gamma, orientation, upper_w, lower_w)
+    except StructureError:
+        return False
+    return True
+
+
+def test_find_structure_matches_reference(monkeypatch):
+    # membership in detect_wow is the one definition of a valid structure: it
+    # accepts exactly the candidates that pass every axiom check; detect_wow
+    # runs once per gamma, as each gamma has hundreds of candidates
+    monkeypatch.setattr(wow, "detect_wow", functools.lru_cache(maxsize=1)(detect_wow))
+    accepted = rejected = 0
+    for n in range(1, 8):
+        for gamma in connected_shapes(n):
+            cells = gamma.cells
+            tops = list(_connected_subsets(cells, ne_box(cells), n))
+            bottoms = list(_connected_subsets(cells, sw_box(cells), n))
+            for t, b, orientation in itertools.product(tops, bottoms, (RR, UU)):
+                if _reference_accepts(gamma, orientation, t, b):
+                    st = find_structure(gamma, orientation, t, b)
+                    assert (st.gamma, st.orientation, st.upper_w, st.lower_w) == (
+                        gamma, orientation, t, b)
+                    accepted += 1
+                else:
+                    with pytest.raises(StructureError):
+                        find_structure(gamma, orientation, t, b)
+                    rejected += 1
+    assert (accepted, rejected) == (122, 35_008)
+    gamma = shp("4,4,2,2/2,1")
+    top, bottom = frozenset({(0, 3), (1, 3)}), frozenset({(2, 0), (3, 0)})
+    garbage = [
+        (gamma, "LR", top, bottom),  # unknown orientation
+        (gamma, RR, frozenset({(0, 4), (1, 4)}), bottom),  # outside gamma
+        (gamma, RR, top, frozenset({(2, 0), (4, 0)})),  # outside gamma
+        (gamma, RR, frozenset({(0, 3), (1, 2)}), bottom),  # not a skew shape
+        (gamma, RR, frozenset(), frozenset()),  # empty copies
+        (shp("2,1/1"), RR, frozenset({(0, 1)}), frozenset({(1, 0)})),  # disconnected gamma
+    ]
+    assert find_structure(gamma, RR, top, bottom).describe().startswith("W -> O -> W")
+    for candidate in garbage:
+        assert not _reference_accepts(*candidate)
+        with pytest.raises(StructureError):
+            find_structure(*candidate)
+
+
 def _sides(w, rest):
     """Where the cells of rest on w's diagonals lie along them: "NW", "SE" or "between"."""
     w_rows = {}
@@ -231,7 +314,7 @@ class TestSides:
 
 
 def _w_pairs_passing_other_axioms(max_size):
-    """(gamma, top, bottom) for every pair passing the axioms _validate still checks.
+    """(gamma, top, bottom) for every pair passing the axioms _reference_validate checks.
 
     Two translates with a diagonal of gamma between them hold at most
     (|gamma| - 1) // 2 cells each, so the walk stops there.
@@ -257,8 +340,8 @@ def _w_pairs_passing_other_axioms(max_size):
 
 
 def test_o_is_connected_by_lemma_1():
-    # Lemma 1 of detect_wow: the axioms left in _validate make O a nonempty
-    # connected skew shape, so _validate does not check it
+    # Lemma 1 of detect_wow: the axioms _reference_validate checks make O a
+    # nonempty connected skew shape, so it does not check that
     pairs = 0
     for gamma, t, b in _w_pairs_passing_other_axioms(8):
         o = gamma.cells - t - b
@@ -423,13 +506,13 @@ class TestRotation:
     def test_detection_commutes_with_rotation(self):
         # detecting on the half-turn finds exactly the rotated structures
         count = 0
-        for n in range(1, 9):
+        for n in range(1, 10):
             for gamma in connected_shapes(n):
                 structures = detect_wow(gamma)
                 count += len(structures)
                 rotated = {rotate_structure(st) for st in structures}
                 assert set(detect_wow(rotate180(gamma))) == rotated, format_shape(gamma)
-        assert count == 300
+        assert count == 722
 
     def test_duality_on_small_catalog(self):
         beta = shp("2,1")
