@@ -16,12 +16,14 @@ from .shapes import (
     Partition,
     ShapeError,
     SkewShape,
+    conjugate,
     connected_shapes,
     format_shape,
     parse_partition,
     parse_shape,
     rotate180,
     shape_sort_key,
+    transpose,
 )
 
 SCHEMA = 1
@@ -146,47 +148,65 @@ def cmd_verify(args) -> int:
 
 
 def _search_one(gamma, beta_list):
-    """Rows of gamma and, when it differs, of its half-turn.
+    """Rows of gamma and of its other images under half-turn and transpose.
 
-    The half-turn's rows copy gamma's but for their names: on the rotated
-    structure the lhs and rhs are the half-turns of the rhs and lhs, and
-    the key size and loose ends are kept (see wow.rotate_structure).  The
-    rotated structure is built unchecked and serves only to name the rows.
+    An image's rows copy gamma's but for their names, and keep its key size
+    and loose ends: the half-turn keeps each verdict (wow.rotate_structure),
+    and beta on the transposed structure has the verdict of its conjugate on
+    gamma's (wow.transpose_structure).  The image structures are built
+    unchecked and serve only to name the rows.
     """
     rows = []
-    rotated = rotate180(gamma)
+    rotated, flipped = rotate180(gamma), transpose(gamma)
     for structure in wow.detect_wow(gamma):
-        turned = wow.rotate_structure(structure).describe() if rotated != gamma else None
-        for beta in beta_list:
-            report = verifier.verify_main_theorem(beta, structure)
-            row = {
-                "gamma": format_shape(gamma),
-                "structure": structure.describe(),
-                "orientation": structure.orientation,
-                "keySize": structure.keys.size,
-                "looseEnds": structure.loose_ends.found,
-                "beta": list(beta),
-                "hypothesesHold": report.mode == "theorem",
-                "equal": report.equal,
-            }
-            rows.append(row)
-            if turned is not None:
-                rows.append(dict(row, gamma=format_shape(rotated), structure=turned))
+        images = [(structure, beta_list)]  # each with the betas whose verdicts it takes
+        if flipped not in (gamma, rotated):
+            images.append((wow.transpose_structure(structure), [conjugate(b) for b in beta_list]))
+        verdicts = {}  # beta -> (hypothesesHold, equal) on structure
+        for image, keys in images:
+            turned = wow.rotate_structure(image) if rotated != gamma else None
+            for beta, key in zip(beta_list, keys):
+                if key not in verdicts:
+                    report = verifier.verify_main_theorem(key, structure)
+                    verdicts[key] = (report.mode == "theorem", report.equal)
+                hold, equal = verdicts[key]
+                row = {
+                    "gamma": format_shape(image.gamma),
+                    "structure": image.describe(),
+                    "orientation": image.orientation,
+                    "keySize": structure.keys.size,
+                    "looseEnds": structure.loose_ends.found,
+                    "beta": list(beta),
+                    "hypothesesHold": hold,
+                    "equal": equal,
+                }
+                rows.append(row)
+                if turned is not None:
+                    rows.append(dict(row, gamma=format_shape(turned.gamma),
+                                     structure=turned.describe()))
     return rows
 
 
 def cmd_search(args) -> int:
+    """Rows of every structure up to the size bound, one symmetry orbit at a time.
+
+    Each orbit under half-turn and transpose is searched from its first
+    gamma in (size, shape_sort_key) order, and the expansion caches are
+    emptied after it, so they hold one orbit's h-images at a time.
+    """
     if args.max_size < 1:
         raise ValueError("--max-size must be at least 1")
     betas = [_parse_beta(text) for text in args.beta or ["2,1"]]
 
     rows = []
-    done = set()  # the half-turns of the gammas searched so far
+    done = set()  # the images of the gammas searched so far
     for n in range(1, args.max_size + 1):
         for gamma in sorted(connected_shapes(n), key=shape_sort_key):
             if gamma not in done:
-                done.add(rotate180(gamma))
+                flipped = transpose(gamma)
+                done.update((rotate180(gamma), flipped, rotate180(flipped)))
                 rows += _search_one(gamma, betas)
+                schur.clear_caches()
     rows.sort(key=lambda r: (r["gamma"], r["structure"], r["beta"]))
 
     payload = {"schema": SCHEMA, "maxSize": args.max_size, "instances": rows}
@@ -224,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="scan all structures up to a size bound")
     p_search.add_argument("--max-size", type=int, required=True,
-                          help="largest gamma size (12 takes about 14 s and 420 MB)")
+                          help="largest gamma size (12 takes about 15 s and 80 MB)")
     p_search.add_argument("--beta", action="append", help="repeatable; default 2,1")
     p_search.add_argument("--json", action="store_true")
 

@@ -243,12 +243,13 @@ def half_turn(cells, corner: Cell) -> frozenset[Cell]:
     return frozenset((mr - r, mc - c) for r, c in cells)
 
 
+def conjugate(part: Partition) -> Partition:
+    """The partition of part's column lengths."""
+    return tuple(sum(p > j for p in part) for j in range(part[0] if part else 0))
+
+
 def transpose(shape: SkewShape) -> SkewShape:
     """Reflect a shape across the main diagonal: conjugate lambda and mu."""
-
-    def conjugate(part):
-        return tuple(sum(p > j for p in part) for j in range(part[0] if part else 0))
-
     return SkewShape(conjugate(shape.outer), conjugate(shape.inner))
 
 

@@ -40,6 +40,7 @@ from .shapes import (
     skew_from_cells,
     sw_box,
     translate_cells,
+    transpose,
 )
 
 RR = "RR"  # W -> O -> W (horizontal adjacency)
@@ -52,7 +53,10 @@ class StructureError(ValueError):
 
 @dataclass(frozen=True)
 class WowStructure:
-    """A structure on gamma; built only by detect_wow and rotate_structure, unchecked."""
+    """A structure on gamma, built unchecked.
+
+    Only detect_wow, rotate_structure and transpose_structure build one.
+    """
 
     gamma: SkewShape
     orientation: str
@@ -199,7 +203,7 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
     left of c2.  Otherwise O meets row r, between r2 and r + k, in a cell
     y left of z, and y <= z <= x puts z in the convex gamma - t.  The
     half-turn (rotate_structure keeps RR) reverses each diagonal and gives
-    the bottom; the transpose keeps that order and turns UU into RR,
+    the bottom; transpose_structure keeps that order and turns UU into RR,
     swapping t and b.
 
     Maximality follows: let t' and b' be copies of a larger W' with t' > t
@@ -361,8 +365,8 @@ def key_ribbons(structure: WowStructure) -> KeyRibbons:
     (d) On (o1, tau] A holds only cells of t, so U's rim on (o1, o1 + n]
     lies in B and is B's rim; shifting it back by s gives gamma's NW rim
     on (o1 - n, o1].
-    The half-turn (rotate_structure keeps RR) gives the bottom, and the
-    transpose gives UU.
+    The half-turn (rotate_structure keeps RR) gives the bottom, and
+    transpose_structure gives UU.
     """
     gamma = structure.gamma
     dr, dc = structure.amalg_shift
@@ -455,6 +459,44 @@ def rotate_structure(structure: WowStructure) -> WowStructure:
         structure.orientation,
         half_turn(structure.lower_w, corner),
         half_turn(structure.upper_w, corner),
+    )
+
+
+def transpose_structure(structure: WowStructure) -> WowStructure:
+    """Transpose of the whole structure; the W roles swap ends and RR and UU swap.
+
+    It is built unchecked: the transpose T(r, c) = (c, r) maps each axiom
+    onto itself.  It keeps connectivity and the product order, so skew
+    sets stay skew, removals stay connected skew shapes and the W copies
+    stay translates of one shape.  It swaps the NE and SW boxes, so upper
+    and lower W swap; it maps diagonal d to -d, which keeps the gap; and
+    it carries a left or right neighbour to an upper or lower one, so the
+    horizontal adjacency of RR maps onto the vertical one of UU.
+
+    Lemma: compose(alpha', S') = transpose(compose(alpha, S)) for alpha'
+    the conjugate of alpha, and S' has S's key size and loose-end verdict.
+    As upper = lower + s for s = amalg_shift = (dr, dc), the swap gives
+    amalg_shift' = -T(s) = (-dc, -dr) and dot_shift' = -T(dot_shift), and
+    RR's east and north steps are UU's north and east ones.  So the offset
+    of box (c, r) of alpha' is T of the offset of box (r, c) of alpha, and
+    each copy of gamma' is the transpose of a copy of gamma.  The key size
+    n = dc - dr is kept.  T keeps the NW and SE rims and the left- and
+    right-removable ribbons and reverses the diagonals, so the RR and UU
+    key footprints map onto each other and so do the loose-end tests of
+    the two orientations, which mirror each other's comparisons.
+
+    As omega is a ring automorphism with omega s_A = s_A', beta on S' has
+    the verdict of beta' on S.
+    """
+
+    def flip(cells):
+        return frozenset((c, r) for r, c in cells)
+
+    return WowStructure(
+        transpose(structure.gamma),
+        UU if structure.orientation == RR else RR,
+        flip(structure.lower_w),
+        flip(structure.upper_w),
     )
 
 

@@ -179,12 +179,34 @@ class TestSearch:
         assert landmark and all(r["equal"] and r["hypothesesHold"] for r in landmark)
         assert all(r["equal"] for r in rows if r["hypothesesHold"])
 
-    def test_search_expands_nothing(self, capsys):
-        # search reads only verdicts, so no report expands a side
-        schur.clear_caches()
+    def test_search_expands_nothing(self, capsys, monkeypatch):
+        # search reads only verdicts, so no report expands a side; calls are
+        # counted, as search empties the caches and with them cache_info
+        calls = []
+        expand = schur.schur_expand
+        monkeypatch.setattr(schur, "schur_expand", lambda shape: calls.append(shape) or expand(shape))
         code, _, _ = run(capsys, "search", "--max-size", "7", "--json")
         assert code == 0
-        assert schur.schur_expand.cache_info().misses == 0
+        assert len(calls) == 0
+
+    def test_search_holds_one_orbit_of_h_images(self, capsys, monkeypatch):
+        # the caches are emptied after each orbit, so they never hold more
+        # h-images than one orbit's verdicts need (two per structure on its
+        # first gamma, with one beta) and hold none at the end
+        schur.clear_caches()
+        held = []
+        clear = schur.clear_caches
+
+        def record():
+            held.append(schur.h_expansion.cache_info().currsize)
+            clear()
+
+        monkeypatch.setattr(schur, "clear_caches", record)
+        code, _, _ = run(capsys, "search", "--max-size", "9", "--json")
+        assert code == 0
+        most = max(len(wow.detect_wow(g)) for n in range(1, 10) for g in connected_shapes(n))
+        assert held and max(held) <= 2 * most
+        assert all(cache.cache_info().currsize == 0 for cache in schur._CACHES)
 
     def test_bad_bounds_exit_2(self, capsys):
         code, _, err = run(capsys, "search", "--max-size", "0")
@@ -312,6 +334,11 @@ def test_trace_json_golden_digest(capsys, extra, code, digest):
             1,
             "bf0bc68e7fe5e6d9b9415e9c95bb3f3218056a1f827c7aef38ce3b17b3516649",
         ),
+        (
+            ("search", "--max-size", "10", "--json"),
+            0,
+            "e188f26304f8d1bab13c8440a28b11a7924b09c616a74b871a3e10e02fc63bb5",
+        ),
     ],
     ids=[
         "search-8",
@@ -319,6 +346,7 @@ def test_trace_json_golden_digest(capsys, extra, code, digest):
         "search-9-four-betas",
         "h-basis-differ",
         "h-basis-counterexample",
+        "search-10",
     ],
 )
 def test_json_golden_digest(capsys, argv, code, digest):
@@ -352,13 +380,26 @@ def _reference_rows(size, betas):
     return rows
 
 
-@pytest.mark.parametrize("max_size", range(1, 10))
+_BETA_LISTS = [  # id, betas, largest size searched
+    ("default", ("2,1",), 9),
+    ("four-betas", ("2,1", "2,2", "1", "3,1"), 9),
+    ("conjugate-pair", ("3,2", "2,2,1"), 8),
+    ("conjugate-absent", ("3,2",), 8),
+]
+
+
 @pytest.mark.parametrize(
-    "betas", [("2,1",), ("2,1", "2,2", "1", "3,1")], ids=["default", "four-betas"]
+    "betas, max_size",
+    [
+        pytest.param(betas, n, id=f"{name}-{n}")
+        for name, betas, largest in _BETA_LISTS
+        for n in range(1, largest + 1)
+    ],
 )
 def test_search_matches_per_gamma_loop(capsys, max_size, betas):
-    # search handles a gamma and its half-turn together; the JSON must be the
-    # per-gamma loop's, byte for byte
+    # search derives the rows of a gamma's half-turn and transpose from its
+    # own, the transpose's through the conjugate beta, listed or not; the
+    # JSON must be the per-gamma loop's, byte for byte
     argv = ["search", "--max-size", str(max_size), "--json"]
     if betas != ("2,1",):
         argv += [arg for beta in betas for arg in ("--beta", beta)]

@@ -7,6 +7,7 @@ from schurhopf import wow
 from schurhopf.shapes import (
     SkewShape,
     canonicalize_cells,
+    conjugate,
     connected_shapes,
     format_shape,
     is_connected,
@@ -20,6 +21,7 @@ from schurhopf.shapes import (
     skew_from_cells,
     sw_box,
     translate_cells,
+    transpose,
 )
 from schurhopf.verifier import proof_trace, verify_main_theorem
 from schurhopf.wow import (
@@ -37,6 +39,7 @@ from schurhopf.wow import (
     has_loose_end_ribbons,
     key_ribbons,
     rotate_structure,
+    transpose_structure,
 )
 
 
@@ -537,6 +540,39 @@ class TestRotation:
             assert rot.loose_ends.found == st.loose_ends.found, st.describe()
             for beta in betas:
                 assert compose(beta, rot) == rotate180(compose(rotate180(beta), st))
+
+
+class TestTranspose:
+    def test_detection_commutes_with_transpose(self):
+        # detecting on the transpose finds exactly the transposed structures,
+        # which keep the key size and the loose-end verdict: search copies
+        # them from gamma's rows
+        by_gamma = {}
+        for st in wow.wow_catalog(9):
+            by_gamma.setdefault(st.gamma, []).append(st)
+        assert sum(map(len, by_gamma.values())) == 722
+        for gamma, structures in by_gamma.items():
+            flipped = {transpose_structure(st): st for st in structures}
+            assert len(flipped) == len(structures), format_shape(gamma)
+            assert set(detect_wow(transpose(gamma))) == set(flipped), format_shape(gamma)
+            for image, st in flipped.items():
+                assert image.orientation != st.orientation
+                assert image.keys.size == st.keys.size, st.describe()
+                assert image.loose_ends.found == st.loose_ends.found, st.describe()
+
+    def test_verdict_of_conjugate_beta(self):
+        # compose(beta', S') is the transpose of compose(beta, S), so beta on
+        # S and beta' on S' have one verdict
+        for st in wow.wow_catalog(8):
+            image = transpose_structure(st)
+            for text in ("2,1", "3,2", "3,1"):
+                beta = tuple(map(int, text.split(",")))
+                assert compose(SkewShape(conjugate(beta)), image) == transpose(
+                    compose(SkewShape(beta), st)
+                )
+                a = verify_main_theorem(beta, st)
+                b = verify_main_theorem(conjugate(beta), image)
+                assert (a.mode, a.equal) == (b.mode, b.equal), (text, st.describe())
 
 
 class TestDerivedOnce:
