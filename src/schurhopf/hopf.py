@@ -220,50 +220,29 @@ def combo_to_h(combo: dict) -> dict:
     return schur.h_sum((m, schur.h_expansion(cls)) for cls, m in combo.items())
 
 
-def _combos_equal_as_symfuncs(lhs: dict[SkewShape, int], rhs: dict[SkewShape, int]) -> bool:
-    """Whether two integer class combinations map to the same symmetric function.
-
-    Classes cancel symbolically first; any residue is compared through the
-    h-basis, where equality of symmetric functions is plain dict equality.
-    """
-    residue: dict[SkewShape, int] = dict(lhs)
-    for cls, m in rhs.items():
-        residue[cls] = residue.get(cls, 0) - m
-    return not combo_to_h({c: m for c, m in residue.items() if m != 0})
+def _slice_image(shape: SkewShape, k: int) -> dict:
+    """Image in h (x) h of the bidegree (k, n - k) part, keyed by pairs of packed h-keys."""
+    out: dict = {}
+    for left, right in coproduct_slice(shape, k):
+        right_image = schur.h_expansion(class_of_cells(right)).items()
+        for x, c in schur.h_expansion(class_of_cells(left)).items():
+            for y, d in right_image:
+                out[x, y] = out.get((x, y), 0) + c * d
+    return {key: c for key, c in out.items() if c}
 
 
 def image_cocommutativity(shape: SkewShape, slice_size: int | None = None) -> bool:
     """Swap-symmetry of the coproduct after mapping to symmetric functions.
 
-    With slice_size=k only the bidegree (k, n-k) component is compared
-    against the swapped (n-k, k) component; the small-side factors are
-    expanded in the Schur basis and the large-side factors are compared
-    exactly through the h-basis.  Without slice_size every bidegree is
-    compared this way.
+    Each bidegree (k, n-k), or only k = slice_size, is mapped into h (x) h and
+    compared with the swapped (n-k, k) one.  Exact: the h-monomials are a basis
+    of Lambda, so their pairs are a basis of Lambda (x) Lambda, which the swap permutes.
     """
     n = shape.size
     if slice_size is None:
         return all(image_cocommutativity(shape, k) for k in range(n // 2 + 1))
-
-    k = slice_size
-    small_is_left = k <= n - k
-    # bucket big-side class combinations by small-side Schur coordinates
-    def bucket(slice_terms, left_small: bool):
-        buckets: dict = {}
-        for left, right in slice_terms:
-            small = class_of_cells(left if left_small else right)
-            big = class_of_cells(right if left_small else left)
-            for p, c in schur.schur_expand(small).coeffs:
-                buckets.setdefault(p, {})
-                buckets[p][big] = buckets[p].get(big, 0) + c
-        return buckets
-
-    lhs = bucket(coproduct_slice(shape, k), small_is_left)
-    rhs = bucket(coproduct_slice(shape, n - k), not small_is_left)
-    keys = set(lhs) | set(rhs)
-    return all(
-        _combos_equal_as_symfuncs(lhs.get(p, {}), rhs.get(p, {})) for p in keys
-    )
+    swapped = {(y, x): c for (x, y), c in _slice_image(shape, n - slice_size).items()}
+    return _slice_image(shape, slice_size) == swapped
 
 
 def coproduct_to_json(terms: CoproductSum):

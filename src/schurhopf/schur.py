@@ -150,6 +150,7 @@ def monomial_expansion(shape: SkewShape, k: int) -> MonomialPoly:
         values.pop((r, c), None)
 
     fill(0)
+    del fill  # fill's closure holds fill: break the cycle so counts is freed now
     return MonomialPoly.from_dict(k, counts)
 
 
@@ -389,7 +390,9 @@ def h_expansion(shape: SkewShape) -> MappingProxyType:
         memo[free] = acc
         return acc
 
-    return MappingProxyType(subdet(0, (1 << ell) - 1))
+    image = subdet(0, (1 << ell) - 1)
+    del subdet  # subdet's closure holds subdet: break the cycle so memo is freed now
+    return MappingProxyType(image)
 
 
 def h_sum(terms) -> dict[int, int]:

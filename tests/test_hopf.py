@@ -1,11 +1,14 @@
+import functools
 import hashlib
 import json
 
 import pytest
 
+from schurhopf import hopf, schur
 from schurhopf.hopf import (
     check_coassociativity,
     check_counit_laws,
+    combo_to_h,
     coproduct,
     coproduct_slice,
     coproduct_to_json,
@@ -204,6 +207,91 @@ class TestAxioms:
         n = shape.size
         for k in range(n + 1):
             assert image_cocommutativity(shape, slice_size=k)
+
+
+def _reference_image_cocommutativity(shape, slice_size):
+    """The former comparison of one bidegree: Schur buckets of the small side.
+
+    Each split's small-side factor is expanded by LR, the large-side classes
+    are bucketed by those Schur coordinates, and each bucket's residue, after
+    classes cancel, is compared through the h-basis.  Splits and classes are
+    read through hopf so that a test can substitute them.
+    """
+    n = shape.size
+    k = slice_size
+    small_is_left = k <= n - k
+
+    def bucket(slice_terms, left_small):
+        buckets = {}
+        for left, right in slice_terms:
+            small = hopf.class_of_cells(left if left_small else right)
+            big = hopf.class_of_cells(right if left_small else left)
+            for p, c in schur.schur_expand(small).coeffs:
+                buckets.setdefault(p, {})
+                buckets[p][big] = buckets[p].get(big, 0) + c
+        return buckets
+
+    lhs = bucket(hopf.coproduct_slice(shape, k), small_is_left)
+    rhs = bucket(hopf.coproduct_slice(shape, n - k), not small_is_left)
+    for p in set(lhs) | set(rhs):
+        residue = dict(lhs.get(p, {}))
+        for cls_, m in rhs.get(p, {}).items():
+            residue[cls_] = residue.get(cls_, 0) - m
+        if combo_to_h({c: m for c, m in residue.items() if m}):
+            return False
+    return True
+
+
+def _mutate_first_slice(monkeypatch, mutate):
+    """Make the next hopf.coproduct_slice call return its splits mutated; later calls are kept."""
+    original = coproduct_slice
+    calls = []
+
+    def patched(shape, left_size):
+        splits = original(shape, left_size)
+        calls.append(left_size)
+        return mutate(splits) if len(calls) == 1 else splits
+
+    monkeypatch.setattr(hopf, "coproduct_slice", patched)
+
+
+class TestImageCocommutativityAgainstReference:
+    SHAPES = list(box_bounded_shapes(6, 5))
+
+    @pytest.fixture(autouse=True)
+    def shared_classes(self, monkeypatch):
+        # a split's class depends only on its cells, and the shapes of the
+        # family share their frame: both routes read one memo (2,695 cell sets)
+        memo = functools.lru_cache(maxsize=None)(hopf.class_of_cells)
+        monkeypatch.setattr(hopf, "class_of_cells", memo)
+
+    def test_every_slice_matches_reference(self):
+        compared = 0
+        for shape in self.SHAPES:
+            for k in range(-1, shape.size + 2):  # out-of-range slices are cocommutative
+                new = image_cocommutativity(shape, slice_size=k)
+                assert new == _reference_image_cocommutativity(shape, slice_size=k), (shape, k)
+                assert new, (shape, k)
+                compared += 1
+        assert compared == sum(s.size + 3 for s in self.SHAPES) > 10000
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda splits: splits[1:], lambda splits: splits + splits[-1:]],
+        ids=["drop-one-split", "duplicate-one-split"],
+    )
+    def test_mutated_slices_match_reference(self, monkeypatch, mutate):
+        verdicts = []
+        for shape in self.SHAPES:
+            for k in range(shape.size + 1):
+                pair = []
+                for check in (image_cocommutativity, _reference_image_cocommutativity):
+                    with monkeypatch.context() as patch:
+                        _mutate_first_slice(patch, mutate)
+                        pair.append(check(shape, slice_size=k))
+                assert pair[0] == pair[1], (shape, k)
+                verdicts.append(pair[0])
+        assert False in verdicts
 
 
 class TestImageAgainstLRCoproduct:

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -359,3 +361,28 @@ class TestCaches:
             info = cache.cache_info()
             assert info.currsize == 0
             assert info.maxsize is not None and 0 < info.maxsize <= schur.CACHE_SIZE
+
+
+class TestKernelGarbage:
+    # each kernel recurses through a nested function that its own closure
+    # holds; unless the kernel breaks that cycle, the function and its memo
+    # wait for a cyclic collection instead of being freed on return
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda shape: schur.h_expansion.__wrapped__(shape),
+            lambda shape: monomial_expansion(shape, 3),
+        ],
+        ids=["h_expansion", "monomial_expansion"],
+    )
+    def test_kernel_leaves_no_cyclic_garbage(self, kernel):
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for text in ("4,4,2,2/2,1", "3,2/1", "5,3,3/2"):
+                kernel(shp(text))
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
