@@ -41,64 +41,50 @@ def class_of_cells(cells) -> SkewShape:
 CoproductSum = dict  # (class, class) -> int
 
 
-def _interval_splits(shape: SkewShape, left_size: int | None = None):
-    """Yield (left, right) cell splits for every eta with mu <= eta <= lambda.
+def coproduct_slice(shape: SkewShape, left_size: int) -> list:
+    """Terms of the coproduct whose left factor has exactly left_size cells.
 
-    Cell positions are given in the frame of the input shape.  When
-    left_size is given, only splits whose left part has that many
-    cells are produced.
+    One (left_cells, right_cells) pair, eta/mu and lambda/eta, per eta with
+    mu <= eta <= lambda and |eta/mu| = left_size, in the frame of the input
+    shape so callers can recover placements.
     """
     lam = shape.outer
     mu = shape.padded_inner
     ell = len(lam)
-    total = shape.size
-    if left_size is not None and not 0 <= left_size <= total:
-        return
-
-    # suffix sums of per-row capacities, for pruning when left_size is fixed
-    caps = [lam[i] - mu[i] for i in range(ell)]
+    # suffix[i]: the cells rows i.. can still give to the left factor
     suffix = [0] * (ell + 1)
     for i in range(ell - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
-
+        suffix[i] = suffix[i + 1] + lam[i] - mu[i]
     eta = [0] * ell
 
+    # rec refers to itself through its closure, so a list it appended to
+    # would stay alive until a cyclic collection; it yields instead
     def rec(i: int, upper_bound: int, taken: int):
         if i == ell:
-            if left_size is None or taken == left_size:
-                yield (
-                    frozenset((r, c) for r in range(ell) for c in range(mu[r], eta[r])),
-                    frozenset((r, c) for r in range(ell) for c in range(eta[r], lam[r])),
-                )
+            yield (
+                frozenset((r, c) for r in range(ell) for c in range(mu[r], eta[r])),
+                frozenset((r, c) for r in range(ell) for c in range(eta[r], lam[r])),
+            )
             return
-        lo, hi = mu[i], min(lam[i], upper_bound)
-        for value in range(lo, hi + 1):
-            t = taken + value - mu[i]
-            if left_size is not None:
-                if t > left_size or t + suffix[i + 1] < left_size:
-                    continue
+        need = left_size - taken
+        lo = mu[i] + max(0, need - suffix[i + 1])
+        for value in range(lo, min(lam[i], upper_bound, mu[i] + need) + 1):
             eta[i] = value
-            yield from rec(i + 1, value, t)
+            yield from rec(i + 1, value, taken + value - mu[i])
 
-    yield from rec(0, lam[0] if lam else 0, 0)
+    if not 0 <= left_size <= shape.size:
+        return []
+    return list(rec(0, lam[0] if lam else 0, 0))
 
 
 def coproduct(shape: SkewShape) -> CoproductSum:
     """Interval coproduct, with both tensor factors collapsed to classes."""
     out: CoproductSum = {}
-    for left, right in _interval_splits(shape):
-        key = (class_of_cells(left), class_of_cells(right))
-        out[key] = out.get(key, 0) + 1
+    for k in range(shape.size + 1):
+        for left, right in coproduct_slice(shape, k):
+            key = (class_of_cells(left), class_of_cells(right))
+            out[key] = out.get(key, 0) + 1
     return out
-
-
-def coproduct_slice(shape: SkewShape, left_size: int):
-    """Terms of the coproduct whose left factor has exactly left_size cells.
-
-    Returned positionally as (left_cells, right_cells) pairs so callers
-    can recover placements.
-    """
-    return list(_interval_splits(shape, left_size))
 
 
 def counit(cls: SkewShape) -> int:
@@ -211,11 +197,10 @@ def is_shape_level_cocommutative(shape: SkewShape) -> bool:
 
 
 def combo_to_h(combo: dict) -> dict:
-    """Nonzero h-basis coefficients of a class combination's image.
+    """Nonzero h-basis coefficients of an integer class combination's image.
 
-    Coefficients are integers (the proof trace scales its rational column
-    sums by one common denominator first); the combination is zero as a
-    symmetric function exactly when the result is empty.
+    The combination is zero as a symmetric function exactly when the result
+    is empty.
     """
     return schur.h_sum((m, schur.h_expansion(cls)) for cls, m in combo.items())
 

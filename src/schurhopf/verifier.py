@@ -3,8 +3,9 @@
 Each basis of connected ribbon Schur functions stores an integer inverse
 over one common denominator D, so every solve is integer arithmetic.  The
 proof trace rebuilds the two column-sum matrices (scaled by D) from the
-coproduct of s composed with gamma, expands each column sum into the
-h-basis once, and checks every equality the argument relies on.
+coproduct of s composed with gamma, expands each row's partner classes
+into the h-basis once, takes each column sum as the row coefficients
+applied to those images, and checks every equality the argument relies on.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .shapes import (
     is_connected,
     is_ribbon,
     partitions_of,
+    ribbon_composition_of,
     ribbon_shape,
     rotate180,
     translate_cells,
@@ -305,20 +307,10 @@ def verify_corollary(
     return _build_report(beta, structure, strict, corollary=True)
 
 
-Combo = dict  # class shape (hopf.shape_class) -> int, scaled by the basis denominator
-
-
 def _ratio_text(x: int, d: int) -> str:
     """str(Fraction(x, d)) for d >= 1, without building the Fraction."""
     g = gcd(x, d)
     return str(x // g) if g == d else f"{x // g}/{d // g}"
-
-
-def _combo_add(acc: Combo, cls, coeff):
-    if coeff:
-        acc[cls] = acc.get(cls, 0) + coeff
-        if not acc[cls]:
-            del acc[cls]
 
 
 @dataclass
@@ -441,23 +433,22 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     def slice_side(key_on_left: bool):
         """Matrix rows and direct terms of the tensor side holding the key-size factor.
 
-        A factor that is a connected ribbon, that is, one of the ribbons
+        A factor whose class is a connected ribbon, that is, a ribbon
         removable on its side, becomes a direct term (ribbon, cells, class
         of the other factor); any other factor adds one to its row, indexed
         by its class and then by the other factor's class.
         """
-        side = "left" if key_on_left else "right"
-        ribbons = {cells: comp for comp, cells in hopf.removable_ribbons(s_shape, n, side)}
         rows: dict = {}
         direct = []
         for left, right in hopf.coproduct_slice(s_shape, n if key_on_left else s_shape.size - n):
             mine, other = (left, right) if key_on_left else (right, left)
-            if mine in ribbons:
-                direct.append((ribbons[mine], mine, hopf.class_of_cells(other)))
+            cls = hopf.class_of_cells(mine)
+            if is_connected(cls) and is_ribbon(cls):
+                direct.append((ribbon_composition_of(cls), mine, hopf.class_of_cells(other)))
             else:
-                partners = rows.setdefault(hopf.class_of_cells(mine), {})
-                cls = hopf.class_of_cells(other)
-                partners[cls] = partners.get(cls, 0) + 1
+                partners = rows.setdefault(cls, {})
+                partner = hopf.class_of_cells(other)
+                partners[partner] = partners.get(partner, 0) + 1
         return rows, direct
 
     r_rows, direct_left = slice_side(True)
@@ -516,26 +507,28 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     if modified:
         vprime[i2] = 0
     signed_sum_rows_ok = True
-    col_left: dict = {lab: {} for lab in columns}
-    col_right: dict = {lab: {} for lab in columns}
 
-    def accumulate(rows, colsums):
+    def column_sums(rows) -> dict:
+        """h-image of each column sum, scaled by D.
+
+        Column j sums vec_lam[j] times the image of row lam's partners, so
+        each row's partners are expanded once, whatever columns it meets.
+        """
         nonlocal signed_sum_rows_ok
+        terms = []
         for lam, partners in rows.items():
             vec = vector_for(lam)
             if sum(a * b for a, b in zip(vprime, vec)) != 0:
                 signed_sum_rows_ok = False
-            for j, lab in enumerate(columns):
-                if vec[j]:
-                    for cls, mult in partners.items():
-                        _combo_add(colsums[lab], cls, vec[j] * mult)
-
-    accumulate(r_rows, col_right)
-    accumulate(l_rows, col_left)
+            terms.append((vec, hopf.combo_to_h(partners)))
+        return {
+            lab: schur.h_sum((vec[j], image) for vec, image in terms if vec[j])
+            for j, lab in enumerate(columns)
+        }
 
     # ---- the assertions, all on the h-images of the column sums ----------
-    h_left = {lab: hopf.combo_to_h(col_left[lab]) for lab in columns}
-    h_right = {lab: hopf.combo_to_h(col_right[lab]) for lab in columns}
+    h_right = column_sums(r_rows)
+    h_left = column_sums(l_rows)
     key_labels = {columns[i1]}
     if modified:
         key_labels.add(columns[i2])

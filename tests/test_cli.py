@@ -288,6 +288,12 @@ def test_trace_outside_theorem_reports_without_trace(capsys, gamma, code):
             0,
             "3b9cbb3dedc9c4123bc0386ded5902b0c623699954c344c2f54c435a97543e86",
         ),
+        (
+            # 35 cells, beta 3,2: rows with many partner classes
+            ("--beta", "3,2", "--gamma", "4,4,2,2/2,1"),
+            0,
+            "402761e57949936eb4ddb1cd629b93754195efe22ae88e22b0cce7ae00eca10b",
+        ),
     ],
     ids=[
         "landmark-rr",
@@ -296,6 +302,7 @@ def test_trace_outside_theorem_reports_without_trace(capsys, gamma, code):
         "counterexample",
         "dependent-seeds",
         "equal-keys",
+        "beta-3-2",
     ],
 )
 def test_trace_json_golden_digest(capsys, extra, code, digest):

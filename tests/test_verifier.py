@@ -6,7 +6,14 @@ import pytest
 
 from schurhopf import hopf, verifier
 from schurhopf.schur import connected_ribbons_of_size, multiply, schur_expand
-from schurhopf.shapes import parse_shape, partitions_of, ribbon_shape, skew_from_cells
+from schurhopf.shapes import (
+    is_connected,
+    is_ribbon,
+    parse_shape,
+    partitions_of,
+    ribbon_shape,
+    skew_from_cells,
+)
 from schurhopf.verifier import (
     BadBetaError,
     DegreeMismatchError,
@@ -329,7 +336,7 @@ class TestCorollary:
 
 
 class TestIntegerTrace:
-    def test_each_column_sum_expanded_once(self, monkeypatch):
+    def test_each_rows_partners_expanded_once(self, monkeypatch):
         from schurhopf.wow import RR, detect_wow
 
         st = [s for s in detect_wow(shp("4,4,2,2/2,1")) if s.orientation == RR][0]
@@ -342,7 +349,22 @@ class TestIntegerTrace:
 
         monkeypatch.setattr(hopf, "combo_to_h", counting)
         trace = proof_trace((2, 1), st)
-        assert len(calls) == 2 * len(trace.columns)
+        # one row per key-side class that is not a connected ribbon, right
+        # matrix first; its combination counts each partner class plainly
+        s, n = trace.s_shape, trace.key_size
+        expected = []
+        for key_on_left in (True, False):
+            rows = {}
+            for left, right in hopf.coproduct_slice(s, n if key_on_left else s.size - n):
+                mine, other = (left, right) if key_on_left else (right, left)
+                cls = hopf.class_of_cells(mine)
+                if not (is_connected(cls) and is_ribbon(cls)):
+                    partners = rows.setdefault(cls, {})
+                    partner = hopf.class_of_cells(other)
+                    partners[partner] = partners.get(partner, 0) + 1
+            expected += rows.values()
+        assert len(expected) == 34
+        assert calls == expected
         calls.clear()
         trace.to_json()
         assert calls == []
