@@ -18,7 +18,6 @@ from .shapes import (
 from .schur import (
     MonomialPoly,
     SymFunc,
-    clear_caches,
     connected_ribbons_of_size,
     monomial_expansion,
     multiply,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 
 from .shapes import (
     Composition,
@@ -20,23 +19,6 @@ from .shapes import (
     rotate180,
     transpose,
 )
-
-CACHE_SIZE = 1 << 14  # entries per expansion cache
-_CACHES = []
-
-
-def memoize(fn):
-    """Bounded LRU cache of CACHE_SIZE entries that clear_caches empties."""
-    cached = lru_cache(maxsize=CACHE_SIZE)(fn)
-    _CACHES.append(cached)
-    return cached
-
-
-def clear_caches() -> None:
-    """Empty every expansion cache."""
-    for cached in _CACHES:
-        cached.cache_clear()
-
 
 class SymFuncError(ValueError):
     pass
@@ -154,7 +136,6 @@ def monomial_expansion(shape: SkewShape, k: int) -> MonomialPoly:
     return MonomialPoly.from_dict(k, counts)
 
 
-@memoize
 def schur_expand(shape: SkewShape) -> SymFunc:
     """Expansion of the skew Schur function in the Schur basis.
 
@@ -326,18 +307,16 @@ def h_terms(image):
         yield _h_partition(key), image[key]
 
 
-@memoize
-def h_expansion(shape: SkewShape) -> MappingProxyType:
+def h_expansion(shape: SkewShape) -> dict[int, int]:
     """Jacobi-Trudi determinant as a polynomial in the h-basis.
 
-    Keys are packed h-monomials; values are integer coefficients.
-    The mapping is read-only because every caller shares the cached one.
+    Keys are packed h-monomials; values are nonzero integer coefficients.
     """
     lam = shape.outer
     mu = shape.padded_inner
     ell = len(lam)
     if ell == 0:
-        return MappingProxyType({0: 1})
+        return {0: 1}
     if shape.size >= H_LIMIT:
         raise SymFuncError(f"h-basis image of degree {shape.size} exceeds the bound {H_LIMIT - 1}")
     # det(h_{lam_i - mu_j - i + j}): the entry in row i, column j is nonzero
@@ -381,18 +360,15 @@ def h_expansion(shape: SkewShape) -> MappingProxyType:
                             k += e
                             acc[k] = get(k, 0) - c
                 positive = not positive
-            if 0 in acc.values():
-                if i:  # a memo entry, dropped after the expansion: delete in place
-                    for k in [k for k, c in acc.items() if not c]:
-                        del acc[k]
-                else:  # the image, held by the cache: keep it compact
-                    acc = {k: c for k, c in acc.items() if c}
+            if 0 in acc.values():  # drop cancelled keys in place
+                for k in [k for k, c in acc.items() if not c]:
+                    del acc[k]
         memo[free] = acc
         return acc
 
     image = subdet(0, (1 << ell) - 1)
     del subdet  # subdet's closure holds subdet: break the cycle so memo is freed now
-    return MappingProxyType(image)
+    return image
 
 
 def h_sum(terms) -> dict[int, int]:
@@ -405,7 +381,7 @@ def h_sum(terms) -> dict[int, int]:
     return {k: c for k, c in total.items() if c}
 
 
-@memoize
+@lru_cache(maxsize=1 << 14)  # criterion 1 re-expands the same straight shapes
 def _straight_monomials(p: Partition, k: int) -> MonomialPoly:
     return monomial_expansion(SkewShape(p), k)
 

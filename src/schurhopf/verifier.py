@@ -239,7 +239,7 @@ class Report:
                 "basis": "h",
                 "terms": [
                     {"partition": list(p), "coefficient": c}
-                    for p, c in schur.h_terms(schur.h_expansion(schur.half_turn_rep(shape)))
+                    for p, c in schur.h_terms(schur.h_expansion(shape))
                 ],
             }
 
@@ -512,19 +512,22 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
         """h-image of each column sum, scaled by D.
 
         Column j sums vec_lam[j] times the image of row lam's partners, so
-        each row's partners are expanded once, whatever columns it meets.
+        each row's partners are expanded once, whatever columns it meets,
+        and the image is added into those columns and dropped at once.
         """
         nonlocal signed_sum_rows_ok
-        terms = []
+        totals = {lab: {} for lab in columns}
         for lam, partners in rows.items():
             vec = vector_for(lam)
             if sum(a * b for a, b in zip(vprime, vec)) != 0:
                 signed_sum_rows_ok = False
-            terms.append((vec, hopf.combo_to_h(partners)))
-        return {
-            lab: schur.h_sum((vec[j], image) for vec, image in terms if vec[j])
-            for j, lab in enumerate(columns)
-        }
+            image = hopf.combo_to_h(partners)
+            for w, total in zip(vec, totals.values()):
+                if w:
+                    get = total.get
+                    for k, c in image.items():
+                        total[k] = get(k, 0) + w * c
+        return {lab: {k: c for k, c in total.items() if c} for lab, total in totals.items()}
 
     # ---- the assertions, all on the h-images of the column sums ----------
     h_right = column_sums(r_rows)

@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from schurhopf import schur
 from schurhopf.shapes import parse_shape
 from schurhopf.wow import detect_wow, has_loose_end_ribbons, key_ribbons, wow_catalog
 
@@ -30,3 +33,14 @@ def catalog10():
     for st in wow_catalog(10):
         out.append((st, key_ribbons(st), has_loose_end_ribbons(st)))
     return out
+
+
+@pytest.fixture
+def memo_expansions(monkeypatch):
+    """Within one test, each shape's LR and h expansions are made once.
+
+    The library keeps no cache, so a test whose loops expand the same
+    shapes again and again reads them through this memo instead.
+    """
+    for name in ("schur_expand", "h_expansion"):
+        monkeypatch.setattr(schur, name, functools.lru_cache(maxsize=None)(getattr(schur, name)))

@@ -1,10 +1,12 @@
 import functools
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -18,6 +20,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, name):
+    """The shapes passed to schur.<name>, recorded while the test runs."""
+    calls = []
+    fn = getattr(schur, name)
+    monkeypatch.setattr(schur, name, lambda shape: calls.append(shape) or fn(shape))
+    return calls
 
 
 class TestExpand:
@@ -119,26 +129,46 @@ class TestVerify:
         assert data["trace"]["balance"] is True
         assert data["trace"]["keySize"] == 5
 
-    def test_equal_h_report_expands_one_side(self, capsys):
+    def test_equal_h_report_expands_one_side(self, capsys, monkeypatch):
         # an equal report writes one h-image for both sides: schur_equal expands
-        # the two transposed sides, to_json only the lhs representative
-        schur.clear_caches()
+        # the two transposed sides, to_json only the lhs
+        calls = count_calls(monkeypatch, "h_expansion")
         code, out, _ = run(
             capsys, "verify", "--beta", "2,2,1", "--gamma", "4,3,3,2,2,2/2,2,1,1,1", "--json"
         )
         data = json.loads(out)
         assert code == 0 and data["equal"] is True
-        assert schur.h_expansion.cache_info().misses == 3
+        assert len(calls) == 3
         assert data["lhs"]["basis"] == "h" and data["lhs"]["terms"]
         assert data["rhs"]["terms"] == data["lhs"]["terms"]
 
     @pytest.mark.parametrize("mode", [("--json",), ()], ids=["json", "text"])
-    def test_equal_report_expands_one_side(self, capsys, mode):
+    def test_equal_report_expands_one_side(self, capsys, monkeypatch, mode):
         # a side is expanded when first read, and an equal report's rhs is its lhs
-        schur.clear_caches()
+        calls = count_calls(monkeypatch, "schur_expand")
         code, _, _ = run(capsys, "verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", *mode)
         assert code == 0
-        assert schur.schur_expand.cache_info().misses == 1
+        assert len(calls) == 1
+
+    def test_trace_holds_nothing_after_return(self, capsys):
+        # no h-image or LR expansion outlives the call that made it.  The
+        # warm-up is another instance on the same code path, so that one-time
+        # allocations are made before tracing and a cache would miss.
+        run(capsys, "verify", "--beta", "1,1", "--gamma", "4,4,2,2/2,1", "--trace", "--json")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            code, _, _ = run(
+                capsys, "verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--trace", "--json"
+            )
+            gc.collect()
+            end, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak - start > 1 << 20  # the run itself allocates megabytes
+        assert end - start < 64 << 10
 
     def test_json_bit_stable(self, capsys):
         _, out1, _ = run(capsys, "verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--json")
@@ -180,33 +210,11 @@ class TestSearch:
         assert all(r["equal"] for r in rows if r["hypothesesHold"])
 
     def test_search_expands_nothing(self, capsys, monkeypatch):
-        # search reads only verdicts, so no report expands a side; calls are
-        # counted, as search empties the caches and with them cache_info
-        calls = []
-        expand = schur.schur_expand
-        monkeypatch.setattr(schur, "schur_expand", lambda shape: calls.append(shape) or expand(shape))
+        # search reads only verdicts, so no report expands a side
+        calls = count_calls(monkeypatch, "schur_expand")
         code, _, _ = run(capsys, "search", "--max-size", "7", "--json")
         assert code == 0
         assert len(calls) == 0
-
-    def test_search_holds_one_orbit_of_h_images(self, capsys, monkeypatch):
-        # the caches are emptied after each orbit, so they never hold more
-        # h-images than one orbit's verdicts need (two per structure on its
-        # first gamma, with one beta) and hold none at the end
-        schur.clear_caches()
-        held = []
-        clear = schur.clear_caches
-
-        def record():
-            held.append(schur.h_expansion.cache_info().currsize)
-            clear()
-
-        monkeypatch.setattr(schur, "clear_caches", record)
-        code, _, _ = run(capsys, "search", "--max-size", "9", "--json")
-        assert code == 0
-        most = max(len(wow.detect_wow(g)) for n in range(1, 10) for g in connected_shapes(n))
-        assert held and max(held) <= 2 * most
-        assert all(cache.cache_info().currsize == 0 for cache in schur._CACHES)
 
     def test_bad_bounds_exit_2(self, capsys):
         code, _, err = run(capsys, "search", "--max-size", "0")
@@ -403,6 +411,7 @@ _BETA_LISTS = [  # id, betas, largest size searched
         for n in range(1, largest + 1)
     ],
 )
+@pytest.mark.usefixtures("memo_expansions")  # the loop expands each half-turn pair's image twice
 def test_search_matches_per_gamma_loop(capsys, max_size, betas):
     # search derives the rows of a gamma's half-turn and transpose from its
     # own, the transpose's through the conjugate beta, listed or not; the

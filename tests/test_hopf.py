@@ -255,6 +255,7 @@ def _mutate_first_slice(monkeypatch, mutate):
     monkeypatch.setattr(hopf, "coproduct_slice", patched)
 
 
+@pytest.mark.usefixtures("memo_expansions")  # the family shares most factor shapes
 class TestImageCocommutativityAgainstReference:
     SHAPES = list(box_bounded_shapes(6, 5))
 
@@ -295,6 +296,7 @@ class TestImageCocommutativityAgainstReference:
 
 
 class TestImageAgainstLRCoproduct:
+    @pytest.mark.usefixtures("memo_expansions")  # lr_coefficient expands kappa/nu per rho
     def test_interval_coproduct_matches_lr_coproduct(self):
         # independent route: Delta(s_kappa) = sum c^kappa_{nu,rho} s_nu (x) s_rho,
         # extended linearly over the LR expansion of the shape
@@ -306,14 +308,14 @@ class TestImageAgainstLRCoproduct:
                 continue
             via_interval = {}
             for (a, b), m in coproduct(shape).items():
-                fa = schur_expand(a)
-                fb = schur_expand(b)
+                fa = schur.schur_expand(a)
+                fb = schur.schur_expand(b)
                 for pa, ca in fa.coeffs:
                     for pb, cb in fb.coeffs:
                         key = (pa, pb)
                         via_interval[key] = via_interval.get(key, 0) + m * ca * cb
             via_lr = {}
-            for kappa, c in schur_expand(shape).coeffs:
+            for kappa, c in schur.schur_expand(shape).coeffs:
                 for k in range(shape.size + 1):
                     for nu in partitions_of(k):
                         for rho in partitions_of(shape.size - k):

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from schurhopf import hopf, schur
+from schurhopf import cli, hopf, schur, shapes, verifier, wow
 from schurhopf.schur import (
     SymFunc,
-    clear_caches,
     connected_ribbons_of_size,
     h_expansion,
     h_terms,
@@ -258,11 +257,10 @@ class TestHExpansion:
             via_lr = {k: v for k, v in via_lr.items() if v}
             assert h_expansion(shape) == via_lr
 
-    def test_read_only(self):
-        # every caller shares the cached mapping, so nobody may change it
+    def test_caller_owns_image(self):
+        # each call builds its own image, so changing one changes no other
         image = h_expansion(shp("2,1"))
-        with pytest.raises(TypeError):
-            image[0] = 0
+        image[0] = 0
         assert h_dict(h_expansion(shp("2,1"))) == {(2, 1): 1, (3,): -1}
 
     def test_h_product(self):
@@ -275,19 +273,19 @@ class TestSchurEqual:
         for shape in box_bounded_shapes(5, 5):
             assert schur_equal(shape, rotate180(shape))
 
-    def test_half_turn_pair_shares_one_image(self):
+    def test_half_turn_pair_shares_one_image(self, monkeypatch):
         # a half-turn pair is equal with no h-image, and a shape and its
-        # half-turn are expanded once between them
+        # half-turn are expanded as one shape
+        calls = []
+        monkeypatch.setattr(schur, "h_expansion", lambda shape: calls.append(shape) or h_expansion(shape))
         a, b = shp("3,1"), shp("2,2")
         assert rotate180(a) != a
-        clear_caches()
         assert schur_equal(a, rotate180(a))
-        assert h_expansion.cache_info().misses == 0
+        assert calls == []
         assert not schur_equal(a, b)
         assert not schur_equal(rotate180(a), b)
         assert not schur_equal(b, rotate180(a))
-        info = h_expansion.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
+        assert len(calls) == 6 and len(set(calls)) == 2
 
     def test_unequal_partitions(self):
         assert not schur_equal(shp("2,2"), shp("2,1,1"))
@@ -311,6 +309,7 @@ class TestSchurEqual:
             b = compose(rotate180(SkewShape(beta)), st)
             assert schur_equal(a, b) == (schur_expand(a) == schur_expand(b))
 
+    @pytest.mark.usefixtures("memo_expansions")  # each class representative meets every other
     def test_groupings_agree_in_box(self):
         # the h route must join each shape to its LR class and keep every two
         # LR classes apart, so its "not equal" verdicts are checked too
@@ -343,24 +342,22 @@ class TestRendering:
 
 
 class TestCaches:
-    CACHES = (
-        schur.schur_expand,
-        schur.h_expansion,
-        schur._straight_monomials,
-    )
-
     def test_bounded_and_cleared(self):
-        # every memoized cache is listed here, so a new one cannot go unchecked
-        assert len(schur._CACHES) == len(self.CACHES)
-        shape = shp("3,2/1")
-        sym_to_monomials(schur_expand(shape), 2)
-        hopf.combo_to_h({hopf.shape_class(shape): 1})
-        assert all(cache.cache_info().currsize for cache in self.CACHES)
-        clear_caches()
-        for cache in self.CACHES:
-            info = cache.cache_info()
-            assert info.currsize == 0
-            assert info.maxsize is not None and 0 < info.maxsize <= schur.CACHE_SIZE
+        # the oracle's straight-shape memo is the library's one cache, and bounded
+        cached = [
+            f"{module.__name__}.{name}"
+            for module in (hopf, schur, shapes, verifier, wow, cli)
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_info")
+        ]
+        assert cached == ["schurhopf.schur._straight_monomials"]
+        memo = schur._straight_monomials
+        memo.cache_clear()
+        sym_to_monomials(schur_expand(shp("3,2/1")), 2)
+        info = memo.cache_info()
+        assert info.currsize and info.maxsize is not None
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0
 
 
 class TestKernelGarbage:
@@ -370,7 +367,7 @@ class TestKernelGarbage:
     @pytest.mark.parametrize(
         "kernel",
         [
-            lambda shape: schur.h_expansion.__wrapped__(shape),
+            h_expansion,
             lambda shape: monomial_expansion(shape, 3),
         ],
         ids=["h_expansion", "monomial_expansion"],

@@ -560,6 +560,7 @@ class TestTranspose:
                 assert image.keys.size == st.keys.size, st.describe()
                 assert image.loose_ends.found == st.loose_ends.found, st.describe()
 
+    @pytest.mark.usefixtures("memo_expansions")  # beta' on S' expands what beta on S did
     def test_verdict_of_conjugate_beta(self):
         # compose(beta', S') is the transpose of compose(beta, S), so beta on
         # S and beta' on S' have one verdict
