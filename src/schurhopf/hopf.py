@@ -6,7 +6,7 @@ A class is held as the direct sum of its components in shape order, a
 plain SkewShape; as s_{A (+) B} = s_A s_B, its image and its coproduct
 are those of that shape.  The coproduct of lambda/mu sums
 eta/mu (x) lambda/eta over the interval mu <= eta <= lambda in Young's
-lattice.  The antipode is never needed.
+lattice; each split is held as eta, not as cells.  The antipode is never needed.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ def shape_class(shape: SkewShape) -> SkewShape:
 
 
 def class_of_cells(cells) -> SkewShape:
+    """Class of a cell set; the cell-level reference for coproduct_slice's classes."""
     return shape_class(skew_from_cells(cells))
 
 
@@ -42,14 +43,13 @@ CoproductSum = dict  # (class, class) -> int
 
 
 def coproduct_slice(shape: SkewShape, left_size: int) -> list:
-    """Terms of the coproduct whose left factor has exactly left_size cells.
+    """Splits of the coproduct whose left factor has exactly left_size cells.
 
-    One (left_cells, right_cells) pair, eta/mu and lambda/eta, per eta with
-    mu <= eta <= lambda and |eta/mu| = left_size, in the frame of the input
-    shape so callers can recover placements.
+    One (eta, class of eta/mu, class of lambda/eta) per eta with mu <= eta
+    <= lambda and |eta/mu| = left_size, for the minimal pair lambda/mu; eta
+    has len(lambda) entries, so row_cells(eta, mu) places eta/mu in lambda.
     """
-    lam = shape.outer
-    mu = shape.padded_inner
+    lam, mu = shape.outer, shape.padded_inner
     ell = len(lam)
     # suffix[i]: the cells rows i.. can still give to the left factor
     suffix = [0] * (ell + 1)
@@ -61,10 +61,7 @@ def coproduct_slice(shape: SkewShape, left_size: int) -> list:
     # would stay alive until a cyclic collection; it yields instead
     def rec(i: int, upper_bound: int, taken: int):
         if i == ell:
-            yield (
-                frozenset((r, c) for r in range(ell) for c in range(mu[r], eta[r])),
-                frozenset((r, c) for r in range(ell) for c in range(eta[r], lam[r])),
-            )
+            yield tuple(eta), shape_class(SkewShape(eta, mu)), shape_class(SkewShape(lam, eta))
             return
         need = left_size - taken
         lo = mu[i] + max(0, need - suffix[i + 1])
@@ -81,9 +78,8 @@ def coproduct(shape: SkewShape) -> CoproductSum:
     """Interval coproduct, with both tensor factors collapsed to classes."""
     out: CoproductSum = {}
     for k in range(shape.size + 1):
-        for left, right in coproduct_slice(shape, k):
-            key = (class_of_cells(left), class_of_cells(right))
-            out[key] = out.get(key, 0) + 1
+        for _, left, right in coproduct_slice(shape, k):
+            out[left, right] = out.get((left, right), 0) + 1
     return out
 
 
@@ -208,9 +204,9 @@ def combo_to_h(combo: dict) -> dict:
 def _slice_image(shape: SkewShape, k: int) -> dict:
     """Image in h (x) h of the bidegree (k, n - k) part, keyed by pairs of packed h-keys."""
     out: dict = {}
-    for left, right in coproduct_slice(shape, k):
-        right_image = schur.h_expansion(class_of_cells(right)).items()
-        for x, c in schur.h_expansion(class_of_cells(left)).items():
+    for _, left, right in coproduct_slice(shape, k):
+        right_image = schur.h_expansion(right).items()
+        for x, c in schur.h_expansion(left).items():
             for y, d in right_image:
                 out[x, y] = out.get((x, y), 0) + c * d
     return {key: c for key, c in out.items() if c}

@@ -56,14 +56,6 @@ class SymFunc:
     def as_dict(self) -> dict[Partition, int]:
         return dict(self.coeffs)
 
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        if self.degree != other.degree:
-            raise SymFuncError("degree mismatch in sum")
-        out = self.as_dict()
-        for p, c in other.coeffs:
-            out[p] = out.get(p, 0) + c
-        return SymFunc.from_dict(self.degree, out)
-
     def render(self) -> str:
         if not self.coeffs:
             return "0"

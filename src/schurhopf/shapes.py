@@ -147,8 +147,7 @@ class SkewShape:
 
     @cached_property
     def cells(self) -> frozenset[Cell]:
-        rows = enumerate(zip(self.outer, self.padded_inner))
-        return frozenset((i, j) for i, (lam, m) in rows for j in range(m, lam))
+        return frozenset(row_cells(self.outer, self.padded_inner))
 
     @property
     def padded_inner(self) -> Partition:
@@ -166,9 +165,14 @@ class SkewShape:
 EMPTY_SHAPE = SkewShape((), ())
 
 
+def row_cells(outer, inner):
+    """Cells of outer/inner in the pair's frame, rows top down; inner padded to len(outer)."""
+    return ((i, j) for i, (lam, m) in enumerate(zip(outer, inner)) for j in range(m, lam))
+
+
 def shape_sort_key(shape: SkewShape):
-    """Deterministic total order on shapes: by size, then by cell layout."""
-    return (shape.size, tuple(sorted(shape.cells)))
+    """Deterministic total order on shapes: by size, then by sorted cells."""
+    return (shape.size, tuple(row_cells(shape.outer, shape.padded_inner)))
 
 
 def skew_from_cells(cells) -> SkewShape:
@@ -281,11 +285,17 @@ def components_of_cells(cells) -> list[frozenset[Cell]]:
 def connected_components(shape: SkewShape) -> tuple[SkewShape, ...]:
     """Connected components as canonical shapes, in shape_sort_key order.
 
+    Rows i - 1 and i touch exactly when mu_(i-1) < lambda_i, so each
+    component is a block of rows between cuts; a minimal pair's empty row
+    is cut on both sides, and its block is dropped.
+
     hopf.shape_class relies on this order: a class is the direct sum of
     these components, so the order makes that shape canonical.
     """
-    comps = [skew_from_cells(c) for c in components_of_cells(shape.cells)]
-    return tuple(sorted(comps, key=shape_sort_key))
+    lam, mu = shape.outer, shape.padded_inner
+    cuts = [0, *(i for i in range(1, len(lam)) if mu[i - 1] >= lam[i]), len(lam)]
+    blocks = (SkewShape(lam[a:b], mu[a:b]) for a, b in zip(cuts, cuts[1:]))
+    return tuple(sorted((c for c in blocks if c.size), key=shape_sort_key))
 
 
 def is_connected(shape: SkewShape) -> bool:

@@ -27,6 +27,7 @@ from .shapes import (
     ribbon_composition_of,
     ribbon_shape,
     rotate180,
+    row_cells,
     translate_cells,
 )
 
@@ -434,21 +435,22 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
         """Matrix rows and direct terms of the tensor side holding the key-size factor.
 
         A factor whose class is a connected ribbon, that is, a ribbon
-        removable on its side, becomes a direct term (ribbon, cells, class
-        of the other factor); any other factor adds one to its row, indexed
-        by its class and then by the other factor's class.
+        removable on its side, becomes a direct term (ribbon, cells in s,
+        class of the other factor); any other factor adds one to its row,
+        indexed by its class and then by the other factor's class.
         """
         rows: dict = {}
         direct = []
-        for left, right in hopf.coproduct_slice(s_shape, n if key_on_left else s_shape.size - n):
-            mine, other = (left, right) if key_on_left else (right, left)
-            cls = hopf.class_of_cells(mine)
+        lam, mu = s_shape.outer, s_shape.padded_inner
+        size = n if key_on_left else s_shape.size - n
+        for eta, left, right in hopf.coproduct_slice(s_shape, size):
+            cls, other = (left, right) if key_on_left else (right, left)
             if is_connected(cls) and is_ribbon(cls):
-                direct.append((ribbon_composition_of(cls), mine, hopf.class_of_cells(other)))
+                cells = frozenset(row_cells(eta, mu) if key_on_left else row_cells(lam, eta))
+                direct.append((ribbon_composition_of(cls), cells, other))
             else:
                 partners = rows.setdefault(cls, {})
-                partner = hopf.class_of_cells(other)
-                partners[partner] = partners.get(partner, 0) + 1
+                partners[other] = partners.get(other, 0) + 1
         return rows, direct
 
     r_rows, direct_left = slice_side(True)

@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 import schurhopf
-from schurhopf import schur, verifier, wow
+from schurhopf import hopf, schur, shapes, verifier, wow
 from schurhopf.cli import main
 from schurhopf.shapes import connected_shapes, format_shape
 
@@ -174,6 +174,37 @@ class TestVerify:
         _, out1, _ = run(capsys, "verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--json")
         _, out2, _ = run(capsys, "verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--json")
         assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--trace", "--json"),
+        ("search", "--max-size", "7", "--json"),
+    ],
+    ids=["landmark-trace", "search-7"],
+)
+def test_no_cell_route_to_classes(capsys, monkeypatch, argv):
+    # classes and components come from lambda/eta/mu; the cell routes are
+    # test references only, so no run may reach them
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return counted
+
+    libs = [m for key, m in sys.modules.items() if key.startswith("schurhopf")]
+    for module, name in ((hopf, "class_of_cells"), (shapes, "components_of_cells")):
+        fn = getattr(module, name)
+        for lib in libs:  # every module that bound the function by name
+            if getattr(lib, name, None) is fn:
+                monkeypatch.setattr(lib, name, counting(name, fn))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert calls == []
 
 
 class TestSearch:

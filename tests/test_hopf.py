@@ -46,14 +46,18 @@ def cls(*texts):
     return shape_class(direct_sum(shp(t) for t in texts))
 
 
+def _split_cells(shape, eta, side):
+    """Cells of eta/mu (side "left") or lambda/eta (side "right"), in the frame of lambda/mu."""
+    lam, mu = shape.outer, shape.padded_inner
+    inner, outer = (mu, eta) if side == "left" else (eta, lam)
+    return frozenset((r, c) for r in range(len(lam)) for c in range(inner[r], outer[r]))
+
+
 def _removable_ribbons_by_slices(shape, n, side):
     """Reference: scan every coproduct split for a connected ribbon of n cells."""
-    if side == "left":
-        picked = (left for left, _ in coproduct_slice(shape, n))
-    else:
-        picked = (right for _, right in coproduct_slice(shape, shape.size - n))
+    left_size = n if side == "left" else shape.size - n
     out = []
-    for cells in picked:
+    for cells in (_split_cells(shape, eta, side) for eta, _, _ in coproduct_slice(shape, left_size)):
         piece = skew_from_cells(cells) if is_connected_skew(cells) else None
         if piece is not None and is_ribbon(piece):
             out.append((ribbon_composition_of(piece), cells))
@@ -62,6 +66,16 @@ def _removable_ribbons_by_slices(shape, n, side):
 
 
 class TestCoproduct:
+    def test_split_classes_match_cells(self):
+        # reference: each split's factors as cell sets, classed through
+        # skew_from_cells and the cell search of hopf.class_of_cells
+        for shape in box_bounded_shapes(5, 5):
+            for k in range(shape.size + 1):
+                for eta, left, right in coproduct_slice(shape, k):
+                    assert left == hopf.class_of_cells(_split_cells(shape, eta, "left"))
+                    assert right == hopf.class_of_cells(_split_cells(shape, eta, "right"))
+                    assert left.size == k and right.size == shape.size - k
+
     def test_single_box(self):
         terms = coproduct(shp("1"))
         assert terms == {
@@ -214,8 +228,10 @@ def _reference_image_cocommutativity(shape, slice_size):
 
     Each split's small-side factor is expanded by LR, the large-side classes
     are bucketed by those Schur coordinates, and each bucket's residue, after
-    classes cancel, is compared through the h-basis.  Splits and classes are
-    read through hopf so that a test can substitute them.
+    classes cancel, is compared through the h-basis.  Only the splits' eta
+    are read: each factor's class is built from its cells through
+    hopf.class_of_cells, independently of the classes coproduct_slice gives.
+    Splits and classes are read through hopf so that a test can substitute them.
     """
     n = shape.size
     k = slice_size
@@ -223,9 +239,10 @@ def _reference_image_cocommutativity(shape, slice_size):
 
     def bucket(slice_terms, left_small):
         buckets = {}
-        for left, right in slice_terms:
-            small = hopf.class_of_cells(left if left_small else right)
-            big = hopf.class_of_cells(right if left_small else left)
+        small_side, big_side = ("left", "right") if left_small else ("right", "left")
+        for eta, _, _ in slice_terms:
+            small = hopf.class_of_cells(_split_cells(shape, eta, small_side))
+            big = hopf.class_of_cells(_split_cells(shape, eta, big_side))
             for p, c in schur.schur_expand(small).coeffs:
                 buckets.setdefault(p, {})
                 buckets[p][big] = buckets[p].get(big, 0) + c
@@ -261,8 +278,9 @@ class TestImageCocommutativityAgainstReference:
 
     @pytest.fixture(autouse=True)
     def shared_classes(self, monkeypatch):
-        # a split's class depends only on its cells, and the shapes of the
-        # family share their frame: both routes read one memo (2,695 cell sets)
+        # the reference builds each split's class from its cells, a class
+        # depends only on those, and the shapes of the family share their
+        # frame: all of its calls read one memo (2,695 cell sets)
         memo = functools.lru_cache(maxsize=None)(hopf.class_of_cells)
         monkeypatch.setattr(hopf, "class_of_cells", memo)
 

@@ -11,6 +11,7 @@ from schurhopf.shapes import (
     SkewShape,
     box_bounded_shapes,
     check_partition,
+    components_of_cells,
     connected_components,
     connected_shapes,
     diagonal,
@@ -29,6 +30,7 @@ from schurhopf.shapes import (
     ribbon_shape,
     rim_ribbon,
     rotate180,
+    shape_sort_key,
     skew_from_cells,
     sw_box,
     transpose,
@@ -186,6 +188,17 @@ class TestConnectivity:
     def test_empty(self):
         assert connected_components(EMPTY_SHAPE) == ()
         assert is_connected(EMPTY_SHAPE)
+
+    def test_row_blocks_match_cell_search(self):
+        # reference: a breadth-first search over edge-adjacent cells, each
+        # component read back through skew_from_cells; 3,1,1/2,1 has an
+        # empty middle row, which is no component of its own
+        family = [*box_bounded_shapes(6, 6), EMPTY_SHAPE, shp("3,1,1/2,1")]
+        assert shp("3,1,1/2,1").outer == (3, 1, 1)
+        for shape in family:
+            cells = components_of_cells(shape.cells)
+            expected = sorted((skew_from_cells(c) for c in cells), key=shape_sort_key)
+            assert connected_components(shape) == tuple(expected), format_shape(shape)
 
     def test_direct_sum_northeast_to_southwest(self):
         # pieces share no row or column, first piece top right; empties vanish

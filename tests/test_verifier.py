@@ -351,12 +351,16 @@ class TestIntegerTrace:
         monkeypatch.setattr(hopf, "combo_to_h", counting)
         trace = proof_trace((2, 1), st)
         # one row per key-side class that is not a connected ribbon, right
-        # matrix first; its combination counts each partner class plainly
+        # matrix first; its combination counts each partner class plainly.
+        # The classes are built here from each split's cells.
         s, n = trace.s_shape, trace.key_size
+        lam, mu, rows_of_s = s.outer, s.padded_inner, range(len(s.outer))
         expected = []
         for key_on_left in (True, False):
             rows = {}
-            for left, right in hopf.coproduct_slice(s, n if key_on_left else s.size - n):
+            for eta, _, _ in hopf.coproduct_slice(s, n if key_on_left else s.size - n):
+                left = frozenset((r, c) for r in rows_of_s for c in range(mu[r], eta[r]))
+                right = frozenset((r, c) for r in rows_of_s for c in range(eta[r], lam[r]))
                 mine, other = (left, right) if key_on_left else (right, left)
                 cls = hopf.class_of_cells(mine)
                 if not (is_connected(cls) and is_ribbon(cls)):
