@@ -117,9 +117,10 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
     elif args.trace:
         trace = verifier.proof_trace(beta_parts, structure, strict=args.strict)
-        report.trace = trace
 
     payload = report.to_json()
+    if trace is not None:
+        payload["trace"] = trace.to_json()
     payload["structure"] = structure.to_json()
     payload["structureCount"] = len(structures)
 
@@ -263,7 +264,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'the input is too large'}", file=sys.stderr)
         return 2
-    except RecursionError as exc:
+    except (RecursionError, OverflowError) as exc:
+        # too deep for the interpreter, or a size past what a list can index
         print(f"error: input too large: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

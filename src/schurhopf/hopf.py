@@ -130,9 +130,8 @@ def removable_ribbons(
     if shape.size < n:
         return []
     if side == "right":
-        corner = (len(shape.outer) - 1, shape.outer[0] - 1)
         out = [
-            (comp[::-1], half_turn(cells, corner))
+            (comp[::-1], half_turn(cells, shape))
             for comp, cells in removable_ribbons(rotate180(shape), n, "left")
         ]
     else:

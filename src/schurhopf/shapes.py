@@ -241,9 +241,9 @@ def rotate180(shape: SkewShape) -> SkewShape:
     return SkewShape(outer, tuple(width - lam for lam in reversed(shape.outer)))
 
 
-def half_turn(cells, corner: Cell) -> frozenset[Cell]:
-    """Rotate cells half a turn inside the box from (0, 0) to corner."""
-    mr, mc = corner
+def half_turn(cells, shape: SkewShape) -> frozenset[Cell]:
+    """Rotate cells half a turn in shape's bounding box, carrying shape onto rotate180(shape)."""
+    mr, mc = len(shape.outer) - 1, shape.outer[0] - 1
     return frozenset((mr - r, mc - c) for r, c in cells)
 
 

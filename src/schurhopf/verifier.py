@@ -216,7 +216,6 @@ class Report:
     rhs_shape: SkewShape
     equal: bool
     mode: str
-    trace: "ProofTrace | None" = None
 
     @cached_property
     def lhs(self) -> schur.SymFunc | None:
@@ -236,17 +235,12 @@ class Report:
         def expansion(f, shape):
             if f is not None:
                 return {"basis": "schur", "terms": f.to_json()}
-            return {
-                "basis": "h",
-                "terms": [
-                    {"partition": list(p), "coefficient": c}
-                    for p, c in schur.h_terms(schur.h_expansion(shape))
-                ],
-            }
+            terms = schur.terms_json(schur.h_terms(schur.h_expansion(shape)))
+            return {"basis": "h", "terms": terms}
 
         # equal sides have one image, in either basis: render it once for both
         lhs = expansion(self.lhs, self.lhs_shape)
-        out = {
+        return {
             "schema": 1,
             "instance": self.instance,
             "hypotheses": self.hypotheses,
@@ -257,9 +251,6 @@ class Report:
             "equal": self.equal,
             "mode": self.mode,
         }
-        if self.trace is not None:
-            out["trace"] = self.trace.to_json()
-        return out
 
 
 def _build_report(
@@ -373,10 +364,7 @@ class ProofTrace:
             for seen, terms in rendered:
                 if seen == image:
                     return terms
-            terms = [
-                {"partition": list(p), "coefficient": _ratio_text(x, d)}
-                for p, x in schur.h_terms(image)
-            ]
+            terms = schur.terms_json((p, _ratio_text(x, d)) for p, x in schur.h_terms(image))
             rendered.append((image, terms))
             return terms
 
@@ -428,7 +416,7 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     alpha1, alpha2 = keys.top, keys.bottom
     s_parts = filled_rectangle(beta, structure.orientation)
     degenerate = 1 in (len(s_parts), s_parts[0])
-    s_shape, offsets, shift = wow.compose_layout(SkewShape(s_parts), structure)
+    s_shape, frames = wow.compose_layout(SkewShape(s_parts), structure)
 
     # ---- slice the coproduct at the key size ---------------------------
     def slice_side(key_on_left: bool):
@@ -464,10 +452,9 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
         if len(direct) != 1:
             return False
         comp, cells, partner = direct[0]
-        (dr, dc), (sr, sc) = offsets[alpha_cell], shift
         return (
             comp == alpha
-            and cells == translate_cells(footprint, (dr + sr, dc + sc))
+            and cells == translate_cells(footprint, frames[alpha_cell])
             and (degenerate or partner == hopf.shape_class(other))
         )
 

@@ -219,9 +219,8 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
     if not is_connected(gamma):
         raise DisconnectedError("gamma must be connected")
     cells = gamma.cells
-    corner = (len(gamma.outer) - 1, gamma.outer[0] - 1)
     tops = _index(_top_placements(gamma))
-    bottoms = _index(half_turn(p, corner) for p in _top_placements(rotate180(gamma)))
+    bottoms = _index(half_turn(p, gamma) for p in _top_placements(rotate180(gamma)))
     out = []
     for key in tops.keys() & bottoms.keys():
         for t, t_span in tops[key]:
@@ -289,13 +288,14 @@ def dot_w(a1: SkewShape, a2: SkewShape, structure: WowStructure) -> SkewShape:
 
 def compose_layout(
     alpha: SkewShape, structure: WowStructure
-) -> tuple[SkewShape, dict[Cell, Cell], Cell]:
-    """Composition together with the copy translations and canonical shift.
+) -> tuple[SkewShape, dict[Cell, Cell]]:
+    """Composition together with the frame of each gamma copy.
 
-    Returns (shape, offsets, shift): offsets maps each cell of alpha to
-    the translation of its gamma copy in the raw frame (the copy for
-    alpha's cell (0, 0) frame would sit at the origin), and shift is the
-    translation applied to reach the returned canonical shape.
+    Returns (shape, frames): frames maps each cell of alpha to the
+    translation that carries gamma's cells onto that cell's copy inside
+    shape.  gamma's cells start at row 0 and column 0, so the least copy
+    offsets are the union's least row and column, and subtracting them
+    puts every copy in shape's canonical frame.
     """
     acells = alpha.cells
     if not acells:
@@ -307,19 +307,18 @@ def compose_layout(
         structure.dot_shift if structure.orientation == RR else structure.amalg_shift
     )
     offsets = {(r, c): (c * dr_e - r * dr_n, c * dc_e - r * dc_n) for r, c in acells}
+    min_r, min_c = map(min, zip(*offsets.values()))
+    frames = {box: (dr - min_r, dc - min_c) for box, (dr, dc) in offsets.items()}
     union: set[Cell] = set()
     gcells = structure.gamma.cells
-    for off in offsets.values():
-        union |= translate_cells(gcells, off)
-    shape = skew_from_cells(union)
-    min_r = min(r for r, _ in union)
-    min_c = min(c for _, c in union)
-    return shape, offsets, (-min_r, -min_c)
+    for frame in frames.values():
+        union |= translate_cells(gcells, frame)
+    return skew_from_cells(union), frames
 
 
 def compose(alpha: SkewShape, structure: WowStructure) -> SkewShape:
     """One gamma copy per box of alpha, overlapped by the two overlay rules."""
-    shape, _, _ = compose_layout(alpha, structure)
+    shape, _ = compose_layout(alpha, structure)
     return shape
 
 
@@ -453,12 +452,11 @@ def rotate_structure(structure: WowStructure) -> WowStructure:
     bottom key footprints, so it maps loose ends onto loose ends.
     """
     gamma = structure.gamma
-    corner = (len(gamma.outer) - 1, gamma.outer[0] - 1)
     return WowStructure(
         rotate180(gamma),
         structure.orientation,
-        half_turn(structure.lower_w, corner),
-        half_turn(structure.upper_w, corner),
+        half_turn(structure.lower_w, gamma),
+        half_turn(structure.upper_w, gamma),
     )
 
 

@@ -170,21 +170,17 @@ def test_criterion_10_one_key_lemma(catalog10):
             if loose.found:
                 continue
             for lam in lams:
-                shape, offsets, shift = compose_layout(SkewShape(lam), structure)
+                shape, frames = compose_layout(SkewShape(lam), structure)
                 found = removable_ribbons(shape, keys.size, "left")
-                expected = translate_cells(
-                    translate_cells(keys.top_footprint, offsets[(0, 0)]), shift
-                )
+                expected = translate_cells(keys.top_footprint, frames[(0, 0)])
                 assert len(found) == 1, (structure, lam)
                 assert found[0][0] == keys.top
                 assert found[0][1] == expected
                 lam_star = rotate180(SkewShape(lam))
-                shape2, offsets2, shift2 = compose_layout(lam_star, structure)
+                shape2, frames2 = compose_layout(lam_star, structure)
                 bottom_right = max(lam_star.cells)
                 found2 = removable_ribbons(shape2, keys.size, "right")
-                expected2 = translate_cells(
-                    translate_cells(keys.bottom_footprint, offsets2[bottom_right]), shift2
-                )
+                expected2 = translate_cells(keys.bottom_footprint, frames2[bottom_right])
                 assert len(found2) == 1, (structure, lam)
                 assert found2[0][0] == keys.bottom
                 assert found2[0][1] == expected2

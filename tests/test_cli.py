@@ -479,14 +479,59 @@ def test_out_of_memory_exit_2(capsys, monkeypatch):
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [("expand", "1000", "--vars", "1")], ids=["monomials"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "1000", "--vars", "1"),
+        ("expand", "99999999999999999999"),
+        ("expand", "3,1", "--vars", "99999999999999999999"),
+    ],
+    ids=["monomials", "row-past-index-range", "vars-past-index-range"],
+)
 def test_recursion_limit_exit_2(capsys, argv):
     # the monomial oracle recurses once per box, so a 1000-box row passes the
-    # interpreter's limit: refused, not "differ"
+    # interpreter's limit, and a row length or variable count past the index
+    # range cannot size a list: each is refused, not "differ"
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: input too large: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "3,,1"),
+        ("expand", "-1"),
+        ("expand", "1,2"),
+        ("expand", "3/4"),
+        ("expand", "1e3"),
+        ("expand", "2", "--vars", "0"),
+        ("verify", "--beta", "2,1", "--gamma", "1"),
+        ("verify", "--beta", "0", "--gamma", "4,4,2,2/2,1"),
+        ("verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--w", "-1"),
+        ("verify", "--beta", "200", "--gamma", "3"),
+        ("search", "--max-size", "0"),
+        ("search", "--max-size", "3", "--beta", "2/1"),
+        ("expand", "99999999999999999999"),
+        ("expand", "3,1", "--vars", "99999999999999999999"),
+    ],
+)
+def test_bad_input_process_contract(argv):
+    # the whole process, as a shell sees it: exit 2, one error: line, no traceback
+    src = os.path.dirname(os.path.dirname(schurhopf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurhopf.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
 
 
 def test_long_row_expands(capsys):

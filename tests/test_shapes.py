@@ -164,8 +164,7 @@ class TestRotate180:
     def test_half_turn_of_cells_matches(self):
         for shape in box_bounded_shapes(6, 5):
             if shape.size:
-                corner = (len(shape.outer) - 1, shape.outer[0] - 1)
-                assert half_turn(shape.cells, corner) == rotate180(shape).cells
+                assert half_turn(shape.cells, shape) == rotate180(shape).cells
 
 
 class TestConnectivity:

@@ -431,10 +431,8 @@ class TestCompose:
         assert compose(alpha, positive_structure) == compose(shp("2,1"), positive_structure)
 
     def test_layout_offsets(self, positive_structure):
-        _, offsets, _ = compose_layout(shp("2,1"), positive_structure)
-        assert offsets[(0, 0)] == (0, 0)
-        assert offsets[(0, 1)] == (-2, 3)
-        assert offsets[(1, 0)] == (3, -2)
+        _, frames = compose_layout(shp("2,1"), positive_structure)
+        assert frames == {(0, 0): (2, 2), (0, 1): (0, 5), (1, 0): (5, 0)}
 
     def test_empty_alpha_rejected(self, positive_structure):
         with pytest.raises(ValueError):
