@@ -101,22 +101,22 @@ def cmd_verify(args) -> int:
     gamma = parse_shape(args.gamma)
     structure, structures = _pick_structure(gamma, args.w)
 
+    # the column-sum argument needs beta's filled rectangle; report without it
+    traced = args.trace and verifier.is_rect_minus_corner(beta_parts)
     try:
+        trace = verifier.proof_trace(beta_parts, structure, strict=args.strict) if traced else None
         if args.corollary:
             report = verifier.verify_corollary(beta_parts, structure, strict=args.strict)
+        elif trace is not None:
+            report = trace.report
         else:
             report = verifier.verify_main_theorem(beta_parts, structure, strict=args.strict)
     except (verifier.BadBetaError, verifier.HypothesesFailError) as exc:
         print(f"hypotheses fail: {exc}", file=sys.stderr)
         return 3
-
-    trace = None
-    if args.trace and not verifier.is_rect_minus_corner(beta_parts):
-        # the column-sum argument needs beta's filled rectangle; report without it
+    if args.trace and not traced:
         print(f"note: no proof trace: beta {args.beta} is not a rectangle minus its corner",
               file=sys.stderr)
-    elif args.trace:
-        trace = verifier.proof_trace(beta_parts, structure, strict=args.strict)
 
     payload = report.to_json()
     if trace is not None:
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="scan all structures up to a size bound")
     p_search.add_argument("--max-size", type=int, required=True,
-                          help="largest gamma size (12 takes about 11 s and 45 MB)")
+                          help="largest gamma size (12 takes about 11 s and 37 MB)")
     p_search.add_argument("--beta", action="append", help="repeatable; default 2,1")
     p_search.add_argument("--json", action="store_true")
 

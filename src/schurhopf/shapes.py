@@ -377,35 +377,6 @@ def sw_box(cells) -> Cell:
     return (max(r for r, c in cells if c == left), left)
 
 
-def _placements(w: SkewShape, a: SkewShape, target: Cell) -> list[frozenset[Cell]]:
-    if not is_connected(w):
-        raise DisconnectedError("placed shape must be connected")
-    wcells = w.cells
-    acells = a.cells
-    out = []
-    # each cell of w gives a different translation, hence a different set
-    for r0, c0 in wcells:
-        placed = translate_cells(wcells, (target[0] - r0, target[1] - c0))
-        if placed <= acells:
-            out.append(placed)
-    out.sort(key=lambda s: tuple(sorted(s)))
-    return out
-
-
-def lies_in_top(w: SkewShape, a: SkewShape) -> list[frozenset[Cell]]:
-    """Translations of w inside a that contain a's northeasternmost box."""
-    if not a.cells or not w.cells:
-        return []
-    return _placements(w, a, ne_box(a.cells))
-
-
-def lies_in_bottom(w: SkewShape, a: SkewShape) -> list[frozenset[Cell]]:
-    """Translations of w inside a that contain a's southwesternmost box."""
-    if not a.cells or not w.cells:
-        return []
-    return _placements(w, a, sw_box(a.cells))
-
-
 def translate_cells(cells, delta: Cell) -> frozenset[Cell]:
     dr, dc = delta
     return frozenset((r + dr, c + dc) for r, c in cells)

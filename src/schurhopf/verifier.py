@@ -307,9 +307,9 @@ def _ratio_text(x: int, d: int) -> str:
 
 @dataclass
 class ProofTrace:
-    """Everything the column-sum argument checks, with verdicts."""
+    """Everything the column-sum argument checks, with verdicts, and the report it traces."""
 
-    instance: str
+    report: Report
     degenerate: bool
     modified: bool
     key_size: int
@@ -328,9 +328,6 @@ class ProofTrace:
     signed_column_ok: bool
     balance_ok: bool
     key_column_equal: bool
-    lhs_shape: SkewShape
-    rhs_shape: SkewShape
-    equal: bool
     direct_left: tuple = ()   # (composition, placement cells, remainder class)
     direct_right: tuple = ()
     extra_left: tuple = ()
@@ -339,6 +336,10 @@ class ProofTrace:
     @property
     def denominator(self) -> int:
         return self.basis.denominator
+
+    @property
+    def equal(self) -> bool:
+        return self.report.equal
 
     def all_column_equalities_hold(self) -> bool:
         return all(self.column_equal.values())
@@ -406,8 +407,8 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     Builds s (beta with the corner filled), slices the coproduct of
     s composed with gamma at the key size, routes connected-ribbon
     factors to the direct terms and everything else into the matrices,
-    and checks the column equalities and the key-column balance.  Its
-    instance, sides and verdict are those of verify_main_theorem.
+    and checks the column equalities and the key-column balance.  It
+    holds the report of verify_main_theorem whose two sides it traces.
     """
     report = verify_main_theorem(beta, structure, strict)
     lhs_shape, rhs_shape = report.lhs_shape, report.rhs_shape  # beta o gamma, beta* o gamma
@@ -553,7 +554,7 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
             )
 
     return ProofTrace(
-        instance=report.instance,
+        report=report,
         degenerate=degenerate,
         modified=modified,
         key_size=n,
@@ -572,9 +573,6 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
         signed_column_ok=signed_column_ok,
         balance_ok=balance_ok,
         key_column_equal=key_column_equal,
-        lhs_shape=lhs_shape,
-        rhs_shape=rhs_shape,
-        equal=report.equal,
         direct_left=tuple(direct_left),
         direct_right=tuple(direct_right),
         extra_left=extra_left,

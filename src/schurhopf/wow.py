@@ -30,8 +30,6 @@ from .shapes import (
     half_turn,
     is_connected,
     is_connected_skew,
-    lies_in_bottom,
-    lies_in_top,
     ne_box,
     rim_ribbon,
     rotate180,
@@ -258,13 +256,19 @@ def amalgamate(
     """Overlay a1 and a2 with the W copies identified.
 
     top_placement is a copy of w in the top of a1 (in a1's canonical
-    frame); bottom_placement a copy in the bottom of a2.  The overlap of
-    the two cell sets must be exactly the identified W.
+    frame): a translate of w inside a1 holding a1's NE box.
+    bottom_placement is a copy in the bottom of a2, holding a2's SW box.
+    The overlap of the two cell sets must be exactly the identified W.
     """
-    if top_placement not in lies_in_top(w, a1):
-        raise ValueError("w does not lie in the top of a1 at the given placement")
-    if bottom_placement not in lies_in_bottom(w, a2):
-        raise ValueError("w does not lie in the bottom of a2 at the given placement")
+    if not (a1.cells and w.cells):
+        raise ValueError("amalgamate needs a nonempty a1 and w")
+    if not is_connected(w):
+        raise DisconnectedError("placed shape must be connected")
+    for placed, a, box, side in ((top_placement, a1, ne_box, "top of a1"),
+                                 (bottom_placement, a2, sw_box, "bottom of a2")):
+        if not (canonicalize_cells(placed) == w.cells and placed <= a.cells
+                and box(a.cells) in placed):
+            raise ValueError(f"w does not lie in the {side} at the given placement")
     (tr, tc), (br, bc) = min(top_placement), min(bottom_placement)
     moved = translate_cells(a2.cells, (tr - br, tc - bc))
     union = a1.cells | moved

@@ -22,11 +22,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def count_calls(monkeypatch, name):
-    """The shapes passed to schur.<name>, recorded while the test runs."""
+def count_calls(monkeypatch, name, module=schur):
+    """The first arguments passed to module.<name>, recorded while the test runs."""
     calls = []
-    fn = getattr(schur, name)
-    monkeypatch.setattr(schur, name, lambda shape: calls.append(shape) or fn(shape))
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda x, *args, **kw: calls.append(x) or fn(x, *args, **kw))
     return calls
 
 
@@ -128,6 +128,20 @@ class TestVerify:
         assert code == 0
         assert data["trace"]["balance"] is True
         assert data["trace"]["keySize"] == 5
+
+    @pytest.mark.parametrize(
+        "extra, reports", [((), 1), (("--corollary",), 2)], ids=["theorem", "corollary"]
+    )
+    def test_trace_builds_one_report(self, capsys, monkeypatch, extra, reports):
+        # the trace holds the theorem's report, and verify prints that one;
+        # only the corollary builds a report of its own beside it
+        built = count_calls(monkeypatch, "_build_report", verifier)
+        composed = count_calls(monkeypatch, "compose", wow)
+        code, out, _ = run(
+            capsys, "verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--trace", "--json", *extra
+        )
+        assert code == 0 and json.loads(out)["trace"]["balance"] is True
+        assert (len(built), len(composed)) == (reports, 2 * reports)
 
     def test_equal_h_report_expands_one_side(self, capsys, monkeypatch):
         # an equal report writes one h-image for both sides: schur_equal expands

@@ -20,8 +20,6 @@ from schurhopf.shapes import (
     half_turn,
     is_connected,
     is_ribbon,
-    lies_in_bottom,
-    lies_in_top,
     ne_box,
     parse_shape,
     partitions_in_box,
@@ -35,6 +33,7 @@ from schurhopf.shapes import (
     sw_box,
     transpose,
 )
+from schurhopf.wow import amalgamate
 
 
 def shp(text):
@@ -282,17 +281,27 @@ class TestRims:
 
 
 class TestPlacements:
+    """A W copy lies in the top (bottom) of A when amalgamate accepts it there.
+
+    The other side's copy is W itself, which lies in both ends of W, so an
+    accepted copy gives back A.
+    """
+
     def test_domino_in_top(self):
-        placements = lies_in_top(shp("1,1"), shp("2,2/1"))
-        assert placements == [frozenset({(0, 1), (1, 1)})]
+        w, a = shp("1,1"), shp("2,2/1")
+        assert amalgamate(a, w, w, frozenset({(0, 1), (1, 1)}), w.cells) == a
+        with pytest.raises(ValueError):  # holds the NE box but leaves a
+            amalgamate(a, w, w, frozenset({(-1, 1), (0, 1)}), w.cells)
 
     def test_row_does_not_fit_in_column(self):
-        assert lies_in_top(shp("2"), shp("1,1")) == []
+        w, a = shp("2"), shp("1,1")
+        for placed in ({(0, 0), (0, 1)}, {(0, -1), (0, 0)}):
+            with pytest.raises(ValueError):
+                amalgamate(a, w, w, frozenset(placed), w.cells)
 
     def test_identity_placement(self):
         shape = shp("3,2/1")
-        assert lies_in_top(shape, shape) == [shape.cells]
-        assert lies_in_bottom(shape, shape) == [shape.cells]
+        assert amalgamate(shape, shape, shape, shape.cells, shape.cells) == shape
 
     def test_extreme_boxes(self):
         shape = shp("4,4,2,2/2,1")

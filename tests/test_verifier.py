@@ -405,9 +405,9 @@ class TestProofTrace:
 
         assert len(trace.direct_left) == 1 and len(trace.direct_right) == 1
         assert trace.direct_left[0][0] == trace.alpha1
-        assert trace.direct_left[0][2] == shape_class(trace.rhs_shape)
+        assert trace.direct_left[0][2] == shape_class(trace.report.rhs_shape)
         assert trace.direct_right[0][0] == trace.alpha2
-        assert trace.direct_right[0][2] == shape_class(trace.lhs_shape)
+        assert trace.direct_right[0][2] == shape_class(trace.report.lhs_shape)
 
     def test_positive_uu(self):
         from schurhopf.wow import UU, detect_wow

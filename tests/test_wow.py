@@ -5,6 +5,8 @@ import pytest
 
 from schurhopf import wow
 from schurhopf.shapes import (
+    EMPTY_SHAPE,
+    DisconnectedError,
     SkewShape,
     canonicalize_cells,
     conjugate,
@@ -369,6 +371,31 @@ class TestAgainstSubsetWalk:
         assert detect_wow(shp(text)) == []
 
 
+def _reference_placements(w, a, target):
+    """Reference: every translate of a connected w inside a that holds target, sorted."""
+    out = []
+    for r0, c0 in w.cells:  # each cell of w gives a different translation
+        placed = translate_cells(w.cells, (target[0] - r0, target[1] - c0))
+        if placed <= a.cells:
+            out.append(placed)
+    out.sort(key=sorted)
+    return out
+
+
+def _accepted(w, a, placed, top):
+    """Whether amalgamate takes placed as w's copy in a's top (else bottom).
+
+    The other side's copy is w itself, so an accepted copy gives back a.
+    """
+    try:
+        out = amalgamate(a, w, w, placed, w.cells) if top else amalgamate(w, a, w, w.cells, placed)
+    except ValueError as exc:
+        assert type(exc) is ValueError, exc
+        return False
+    assert out == a
+    return True
+
+
 class TestAmalgamation:
     def test_full_overlap(self):
         one = shp("1")
@@ -390,6 +417,49 @@ class TestAmalgamation:
     def test_bad_placement_rejected(self):
         with pytest.raises(ValueError):
             amalgamate(shp("2"), shp("2"), shp("1"), frozenset({(0, 0)}), frozenset({(0, 0)}))
+
+    def test_accepts_exactly_the_reference_placements(self):
+        # every translate of w that meets a, on connected w and a of <= 5 cells
+        shapes = [s for n in range(1, 6) for s in connected_shapes(n)]
+        for w in shapes:
+            for a in shapes:
+                candidates = {
+                    translate_cells(w.cells, (ar - wr, ac - wc))
+                    for ar, ac in a.cells
+                    for wr, wc in w.cells
+                }
+                for top, box in ((True, ne_box), (False, sw_box)):
+                    accepted = sorted((p for p in candidates if _accepted(w, a, p, top)), key=sorted)
+                    assert accepted == _reference_placements(w, a, box(a.cells)), (w, a, top)
+
+    def test_disconnected_w_rejected(self):
+        a, w = shp("2,2"), shp("2,1/1")
+        with pytest.raises(DisconnectedError):
+            amalgamate(a, a, w, frozenset({(0, 1), (1, 0)}), frozenset({(0, 1), (1, 0)}))
+
+    def test_copy_missing_the_extreme_box_rejected(self):
+        a, w = shp("2,2"), shp("1")
+        with pytest.raises(ValueError) as top:  # (1, 1) is in a, but a's NE box is (0, 1)
+            amalgamate(a, w, w, frozenset({(1, 1)}), w.cells)
+        with pytest.raises(ValueError) as bottom:  # (0, 0) is in a, but a's SW box is (1, 0)
+            amalgamate(w, a, w, w.cells, frozenset({(0, 0)}))
+        assert top.type is bottom.type is ValueError
+
+    def test_non_translate_rejected(self):
+        # a column through a's NE box, where w is a row
+        a, w = shp("2,2"), shp("2")
+        with pytest.raises(ValueError) as exc:
+            amalgamate(a, w, w, frozenset({(0, 1), (1, 1)}), w.cells)
+        assert exc.type is ValueError
+
+    @pytest.mark.parametrize("side", ["a1", "a2", "w"])
+    def test_empty_shape_rejected(self, side):
+        one = shp("1")
+        shapes = {"a1": one, "a2": one, "w": one, side: EMPTY_SHAPE}
+        placed = frozenset() if side == "w" else one.cells
+        with pytest.raises(ValueError) as exc:
+            amalgamate(shapes["a1"], shapes["a2"], shapes["w"], placed, placed)
+        assert exc.type is ValueError
 
 
 class TestDot:
