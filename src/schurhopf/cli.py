@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import schur, verifier, wow
 from .shapes import (
@@ -30,11 +31,56 @@ SCHEMA = 1
 
 
 def _emit(payload, as_json: bool, text_lines):
+    """Write payload() as JSON under --json, else the text lines."""
     if as_json:
-        print(json.dumps(payload, sort_keys=True))
+        _write_json(payload())
     else:
         for line in text_lines:
             print(line)
+
+
+def _write_json(payload):
+    """Write json.dumps(payload, sort_keys=True) and a newline to stdout, piece by piece.
+
+    No whole text is built: stdout's buffer gathers the pieces into writes.
+    """
+    for piece in _json_pieces(payload):
+        sys.stdout.write(piece)
+    sys.stdout.write("\n")
+
+
+def _json_pieces(value):
+    """The text of json.dumps(value, sort_keys=True), in pieces.
+
+    Dict keys are str; a schur.JsonText is copied as it is.
+    """
+    if isinstance(value, dict):
+        sep = "{"
+        for key in sorted(value):
+            yield sep + _json_str(key) + ": "
+            yield from _json_pieces(value[key])
+            sep = ", "
+        yield "}" if value else "{}"
+    elif isinstance(value, (list, tuple)):
+        sep = "["
+        for item in value:
+            yield sep
+            yield from _json_pieces(item)
+            sep = ", "
+        yield "]" if value else "[]"
+    elif isinstance(value, schur.JsonText):
+        yield value
+    elif isinstance(value, str):
+        yield _json_str(value)
+    elif value is None or isinstance(value, bool):
+        yield _JSON_LITERAL[value]
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    else:
+        yield json.dumps(value)
+
+
+_JSON_LITERAL = {None: "null", False: "false", True: "true"}
 
 
 def _monomial_text(exponents, coeff) -> str:
@@ -51,24 +97,22 @@ def cmd_expand(args) -> int:
     shape = parse_shape(args.shape)
     if args.vars is not None:
         poly = schur.monomial_expansion(shape, args.vars)
-        payload = {
+        lines = [" + ".join(_monomial_text(e, c) for e, c in poly.terms) or "0"]
+        _emit(lambda: {
             "schema": SCHEMA,
             "shape": format_shape(shape),
             "vars": args.vars,
             "monomials": [
                 {"exponents": list(e), "coefficient": c} for e, c in poly.terms
             ],
-        }
-        lines = [" + ".join(_monomial_text(e, c) for e, c in poly.terms) or "0"]
-        _emit(payload, args.json, lines)
+        }, args.json, lines)
         return 0
     f = schur.schur_expand(shape)
-    payload = {
+    _emit(lambda: {
         "schema": SCHEMA,
         "shape": format_shape(shape),
         "expansion": f.to_json(),
-    }
-    _emit(payload, args.json, [f.render()])
+    }, args.json, [f.render()])
     return 0
 
 
@@ -118,11 +162,13 @@ def cmd_verify(args) -> int:
         print(f"note: no proof trace: beta {args.beta} is not a rectangle minus its corner",
               file=sys.stderr)
 
-    payload = report.to_json()
-    if trace is not None:
-        payload["trace"] = trace.to_json()
-    payload["structure"] = structure.to_json()
-    payload["structureCount"] = len(structures)
+    def payload():
+        data = report.to_json()
+        if trace is not None:
+            data["trace"] = trace.to_json()
+        data["structure"] = structure.to_json()
+        data["structureCount"] = len(structures)
+        return data
 
     def summary(f):
         if f is None:
@@ -208,14 +254,13 @@ def cmd_search(args) -> int:
                 rows += _search_one(gamma, betas)
     rows.sort(key=lambda r: (r["gamma"], r["structure"], r["beta"]))
 
-    payload = {"schema": SCHEMA, "maxSize": args.max_size, "instances": rows}
     lines = [
         f"{r['structure']}  beta={r['beta']}  keySize={r['keySize']} "
         f"looseEnds={r['looseEnds']} hypotheses={r['hypothesesHold']} equal={r['equal']}"
         for r in rows
     ]
     lines.append(f"total instances: {len(rows)}")
-    _emit(payload, args.json, lines)
+    _emit(lambda: {"schema": SCHEMA, "maxSize": args.max_size, "instances": rows}, args.json, lines)
     return 0
 
 
@@ -243,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="scan all structures up to a size bound")
     p_search.add_argument("--max-size", type=int, required=True,
-                          help="largest gamma size (12 takes about 11 s and 37 MB)")
+                          help="largest gamma size (12 takes about 10 s and 32 MB)")
     p_search.add_argument("--beta", action="append", help="repeatable; default 2,1")
     p_search.add_argument("--json", action="store_true")
 

@@ -274,6 +274,8 @@ def _build_report(
         rhs = wow.compose(beta_shape, wow.rotate_structure(structure))
     else:
         rhs = wow.compose(rotate180(beta_shape), structure)
+    for side in (lhs, rhs):  # refuse a side no h-image can hold before any output
+        schur.check_h_degree(side.size)
     prefix = "corollary " if corollary else ""
     return Report(
         instance=f"{prefix}beta={','.join(map(str, beta))} gamma={format_shape(structure.gamma)}",

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import gc
 import hashlib
@@ -9,10 +10,12 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schurhopf
 from schurhopf import hopf, schur, shapes, verifier, wow
-from schurhopf.cli import main
+from schurhopf.cli import _write_json, main
 from schurhopf.shapes import connected_shapes, format_shape
 
 
@@ -164,6 +167,14 @@ class TestVerify:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("mode, renders", [((), 0), (("--json",), 1)], ids=["text", "json"])
+    def test_json_rendered_only_under_json(self, capsys, monkeypatch, mode, renders):
+        # text mode prints the verdict lines and builds no JSON payload
+        calls = count_calls(monkeypatch, "to_json", verifier.Report)
+        code, _, _ = run(capsys, "verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", *mode)
+        assert code == 0
+        assert len(calls) == renders
+
     def test_trace_holds_nothing_after_return(self, capsys):
         # no h-image or LR expansion outlives the call that made it.  The
         # warm-up is another instance on the same code path, so that one-time
@@ -184,10 +195,85 @@ class TestVerify:
         assert peak - start > 1 << 20  # the run itself allocates megabytes
         assert end - start < 64 << 10
 
+    @pytest.mark.parametrize(
+        "argv, bound_mb",
+        [
+            (("--beta", "2,2,1", "--gamma", "4,3,3,2,2,2/2,2,1,1,1", "--json"), 6.2),
+            (("--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--trace", "--json"), 1.9),
+        ],
+        ids=["h-basis-report", "landmark-trace"],
+    )
+    def test_output_does_not_set_the_peak(self, monkeypatch, argv, bound_mb):
+        # neither the h-kernel nor the JSON output may set a run's peak: the
+        # tracemalloc peak of one run, stdout to devnull, measured 4.97 MB for
+        # the 14,045-term h-basis report and 1.53 MB for the landmark trace,
+        # and each bound is about 1.25 times that.  A kernel that keeps every
+        # minor with output built as term dicts and one JSON string peaks at
+        # 12.95 and 6.33 MB.  The warm-up makes the one-time allocations first
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            main(["verify", *argv])
+            gc.collect()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                code = main(["verify", *argv])
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < bound_mb * (1 << 20)
+
     def test_json_bit_stable(self, capsys):
         _, out1, _ = run(capsys, "verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--json")
         _, out2, _ = run(capsys, "verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--json")
         assert out1 == out2
+
+
+class _TermList:
+    """(partition, coefficient) pairs that stand for one JSON term list in a generated payload."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+
+def _with_terms(value, render):
+    """value with each _TermList replaced by render(its pairs)."""
+    if isinstance(value, _TermList):
+        return render(value.pairs)
+    if isinstance(value, dict):
+        return {k: _with_terms(v, render) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_with_terms(v, render) for v in value]
+    return value
+
+
+def _term_dicts(pairs):
+    return [{"partition": list(p), "coefficient": c} for p, c in pairs]
+
+
+_json_text = st.text() | st.sampled_from(['"', "\\", "\n\t", "\x00\x1f", "é", "€", "\U0001f600", "a\u2028b"])
+_term_lists = st.builds(_TermList, st.lists(st.tuples(
+    st.lists(st.integers(1, 255), max_size=6).map(lambda p: tuple(sorted(p, reverse=True))),
+    st.integers(-(10 ** 40), 10 ** 40)
+    | st.builds(lambda x, d: f"{x}/{d}", st.integers(-999, 999), st.integers(2, 999)),
+), max_size=5))
+_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 80), 2 ** 80) | _json_text | _term_lists,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_json_text, children, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_payloads)
+def test_writer_is_json_dumps(payload):
+    # the streamed text is json.dumps(..., sort_keys=True) of the same payload
+    # with each term list as its dicts, byte for byte
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_json(_with_terms(payload, schur.terms_json))
+    assert out.getvalue() == json.dumps(_with_terms(payload, _term_dicts), sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -529,6 +615,7 @@ def test_recursion_limit_exit_2(capsys, argv):
         ("search", "--max-size", "3", "--beta", "2/1"),
         ("expand", "99999999999999999999"),
         ("expand", "3,1", "--vars", "99999999999999999999"),
+        ("verify", "--beta", "200", "--gamma", "3", "--json"),
     ],
 )
 def test_bad_input_process_contract(argv):
@@ -556,17 +643,55 @@ def test_long_row_expands(capsys):
 
 
 class _ClosedPipe(io.StringIO):
-    """A stdout whose reader has gone away; fileno() is a scratch file."""
+    """A stdout whose reader goes away after `accept` characters; fileno() is a scratch file."""
 
-    def __init__(self, fd):
+    failure = BrokenPipeError(32, "Broken pipe")
+
+    def __init__(self, fd, accept=0):
         super().__init__()
         self.fd = fd
+        self.accept = accept
 
     def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
+        if len(text) > self.accept:
+            raise self.failure
+        self.accept -= len(text)
+        return super().write(text)
 
     def fileno(self):
         return self.fd
+
+
+class _ExhaustedPipe(_ClosedPipe):
+    """A stdout that runs out of memory after `accept` characters."""
+
+    failure = MemoryError()
+
+
+# about 1.9 MB of JSON, so a stdout that fails after 1 MB fails mid-write
+_LONG_OUTPUT = ["verify", "--beta", "2,2,1", "--gamma", "4,3,3,2,2,2/2,2,1,1,1", "--json"]
+
+
+def test_closed_stdout_mid_write_exit_141(capsys, monkeypatch, tmp_path):
+    # a partial stdout is no result: the exit code says so, and stderr stays quiet
+    with open(tmp_path / "stdout", "w") as scratch:
+        pipe = _ClosedPipe(scratch.fileno(), accept=1 << 20)
+        monkeypatch.setattr(sys, "stdout", pipe)
+        code = main(_LONG_OUTPUT)
+    assert code == 141
+    assert capsys.readouterr().err == ""
+    assert 0 < len(pipe.getvalue()) <= 1 << 20
+
+
+def test_out_of_memory_mid_write_exit_2(capsys, monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "w") as scratch:
+        pipe = _ExhaustedPipe(scratch.fileno(), accept=1 << 20)
+        monkeypatch.setattr(sys, "stdout", pipe)
+        code = main(_LONG_OUTPUT)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert 0 < len(pipe.getvalue()) <= 1 << 20
 
 
 def test_closed_stdout_exit_141(capsys, monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import json
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +29,7 @@ from schurhopf.shapes import (
     rotate180,
     skew_from_cells,
     translate_cells,
+    transpose,
 )
 from schurhopf.wow import compose
 
@@ -244,6 +246,52 @@ def h_dict(image):
     return dict(h_terms(image))
 
 
+def _reference_h_expansion(shape: SkewShape) -> dict[int, int]:
+    """The recursive Jacobi-Trudi kernel that h_expansion's row levels replace.
+
+    subdet(i, free) expands the subdeterminant on rows i.. with free columns
+    `free` along row i and memoizes every one until the top call returns.
+    """
+    lam, mu = shape.outer, shape.padded_inner
+    ell = len(lam)
+    if ell == 0:
+        return {0: 1}
+    below = []
+    for i in range(ell):
+        t = next((j for j in range(ell) if mu[j] - j <= lam[i] - i), ell)
+        below.append((1 << t) - 1)
+    below.append(0)
+    steps = [
+        [1 << (schur.H_BITS * d) if d > 0 else 0 for d in (lam[i] - mu[j] - i + j for j in range(ell))]
+        for i in range(ell)
+    ]
+    memo: dict[int, dict[int, int]] = {0: {0: 1}}
+
+    def subdet(i: int, free: int) -> dict[int, int]:
+        forced = free & below[i + 1]
+        acc: dict[int, int] = {}
+        if not forced & (forced - 1):
+            positive = True
+            rest = forced or free
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                sub = memo.get(free ^ bit)
+                if sub is None:
+                    sub = subdet(i + 1, free ^ bit)
+                e = steps[i][bit.bit_length() - 1]
+                for k, c in sub.items():
+                    acc[k + e] = acc.get(k + e, 0) + (c if positive else -c)
+                positive = not positive
+            acc = {k: c for k, c in acc.items() if c}
+        memo[free] = acc
+        return acc
+
+    image = subdet(0, (1 << ell) - 1)
+    del subdet
+    return image
+
+
 class TestHExpansion:
     def test_straight_shapes(self):
         assert h_dict(h_expansion(shp("2"))) == {(2,): 1}
@@ -268,6 +316,19 @@ class TestHExpansion:
     def test_h_product(self):
         prod = h_expansion(direct_sum((shp("1,1"), shp("1"))))
         assert h_dict(prod) == {(1, 1, 1): 1, (2, 1): -1}
+
+    def test_matches_reference_kernel(self):
+        # the row levels give the recursive kernel's images, key order included,
+        # on every shape of the 6x6 box, their transposes, and direct sums:
+        # all ordered pairs of at most 5 cells in all, and each shape with its
+        # mirror in the list, up to 12 rows
+        shapes = list(box_bounded_shapes(6, 6))
+        small = [s for s in shapes if 0 < s.size <= 4]
+        cases = shapes + [transpose(s) for s in shapes]
+        cases += [direct_sum((a, b)) for a in small for b in small if a.size + b.size <= 5]
+        cases += [direct_sum(pair) for pair in zip(shapes, reversed(shapes))]
+        for shape in cases:
+            assert list(h_expansion(shape).items()) == list(_reference_h_expansion(shape).items())
 
 
 class TestSchurEqual:
@@ -339,8 +400,11 @@ class TestRendering:
         assert SymFunc.zero(4).render() == "0"
 
     def test_json(self):
+        # the term list is rendered straight to the JSON text of its dicts
         f = SymFunc.from_dict(2, {(1, 1): 3})
-        assert f.to_json() == [{"partition": [1, 1], "coefficient": 3}]
+        expected = [{"partition": [1, 1], "coefficient": 3}]
+        assert f.to_json() == json.dumps(expected, sort_keys=True)
+        assert json.loads(f.to_json()) == expected
 
 
 class TestCaches:
