@@ -194,17 +194,17 @@ def cmd_verify(args) -> int:
     return 0 if report.equal else 1
 
 
-def _search_one(gamma, beta_list):
+def _search_one(gamma, rotated, flipped, beta_list):
     """Rows of gamma and of its other images under half-turn and transpose.
 
-    An image's rows copy gamma's but for their names, and keep its key size
+    rotated and flipped are rotate180(gamma) and transpose(gamma).  An
+    image's rows copy gamma's but for their names, and keep its key size
     and loose ends: the half-turn keeps each verdict (wow.rotate_structure),
     and beta on the transposed structure has the verdict of its conjugate on
     gamma's (wow.transpose_structure).  The image structures are built
     unchecked and serve only to name the rows.
     """
     rows = []
-    rotated, flipped = rotate180(gamma), transpose(gamma)
     for structure in wow.detect_wow(gamma):
         images = [(structure, beta_list)]  # each with the betas whose verdicts it takes
         if flipped not in (gamma, rotated):
@@ -249,9 +249,9 @@ def cmd_search(args) -> int:
     for n in range(1, args.max_size + 1):
         for gamma in sorted(connected_shapes(n), key=shape_sort_key):
             if gamma not in done:
-                flipped = transpose(gamma)
-                done.update((rotate180(gamma), flipped, rotate180(flipped)))
-                rows += _search_one(gamma, betas)
+                rotated, flipped = rotate180(gamma), transpose(gamma)
+                done.update((rotated, flipped, rotate180(flipped)))
+                rows += _search_one(gamma, rotated, flipped, betas)
     rows.sort(key=lambda r: (r["gamma"], r["structure"], r["beta"]))
 
     lines = [

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import index
 
 from .shapes import (
     Composition,
@@ -39,7 +40,10 @@ class SymFunc:
 
     @staticmethod
     def from_dict(degree: int, coeffs: dict[Partition, int]) -> "SymFunc":
-        clean = {check_partition(p): int(c) for p, c in coeffs.items() if c != 0}
+        try:
+            clean = {check_partition(p): k for p, c in coeffs.items() if (k := index(c))}
+        except TypeError as exc:
+            raise SymFuncError(f"coefficients must be integers: {exc}") from None
         for p in clean:
             if sum(p) != degree:
                 raise SymFuncError(f"partition {p} does not have degree {degree}")
@@ -271,10 +275,9 @@ def schur_equal(a: SkewShape, b: SkewShape) -> bool:
     Compares the Jacobi-Trudi h-expansions, which is exact because the
     complete homogeneous functions are algebraically independent.  Tall
     shapes are conjugated first (conjugation is a ring automorphism, so
-    equality is preserved) to keep the determinants small.  Then each side
-    is replaced by the lesser (outer, inner) of itself and its half-turn:
-    a shape and its half-turn have the same Jacobi-Trudi h-polynomial, so
-    a half-turn pair is equal without an expansion and shares one image.
+    equality is preserved) to keep the determinants small.  A shape and
+    its half-turn have the same h-image, so a half-turn pair is equal
+    without an expansion.
     """
     if a.size != b.size:
         return False
@@ -282,13 +285,7 @@ def schur_equal(a: SkewShape, b: SkewShape) -> bool:
         return True
     if max(len(a.outer), len(b.outer)) > max(a.outer[0], b.outer[0]):
         a, b = transpose(a), transpose(b)
-    a, b = half_turn_rep(a), half_turn_rep(b)
-    return a == b or h_expansion(a) == h_expansion(b)
-
-
-def half_turn_rep(shape: SkewShape) -> SkewShape:
-    """The lesser (outer, inner) of a shape and its half-turn; both have its h-image."""
-    return min(shape, rotate180(shape), key=lambda s: (s.outer, s.inner))
+    return a == b or a == rotate180(b) or h_expansion(a) == h_expansion(b)
 
 
 # An h-monomial h_{p1}...h_{pk} is packed into one int whose H_BITS-bit field

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 
 Cell = tuple[int, int]
 Partition = tuple[int, ...]
@@ -36,20 +37,21 @@ class DisconnectedError(ShapeError):
 def check_partition(parts) -> Partition:
     """Normalize an iterable of row lengths into a partition tuple.
 
-    Trailing zeros are dropped; anything non-monotone or negative is
-    rejected.
+    Trailing zeros are dropped; a part that is not an integer (no
+    __index__, so no float or str), and anything non-monotone or
+    negative, is rejected.
     """
-    out = []
-    for p in parts:
-        q = int(p)
-        if q < 0:
-            raise ShapeError(f"negative part {q!r}")
-        out.append(q)
+    try:
+        out = list(map(index, parts))
+    except TypeError as exc:
+        raise ShapeError(f"parts must be integers: {exc}") from None
     while out and out[-1] == 0:
         out.pop()
     for a, b in zip(out, out[1:]):
         if b > a:
             raise ShapeError(f"parts not weakly decreasing: {tuple(out)}")
+    if out and out[-1] < 0:
+        raise ShapeError(f"negative part {out[-1]!r}")
     return tuple(out)
 
 
@@ -93,41 +95,13 @@ def canonicalize_cells(cells) -> frozenset[Cell]:
     return frozenset((r - dr, c - dc) for r, c in cells)
 
 
-def _minimal_pair(outer: Partition, inner: Partition) -> tuple[Partition, Partition]:
-    """The pair skew_from_cells recovers from the cells of a valid lambda/mu.
-
-    Empty rows above the top cell and below the bottom cell go, the bottom
-    row moves to column zero, and each empty row in between becomes as
-    long as the row below it.
-    """
-    mu = inner + (0,) * (len(outer) - len(inner))
-    rows = [i for i, (lam, m) in enumerate(zip(outer, mu)) if lam > m]
-    if not rows:
-        return (), ()
-    shift = mu[rows[-1]]
-    lams, mus = [], []
-    below = 0
-    for i in range(rows[-1], rows[0] - 1, -1):
-        if outer[i] > mu[i]:
-            below = outer[i] - shift
-            mus.append(mu[i] - shift)
-        else:
-            mus.append(below)
-        lams.append(below)
-    lams.reverse()
-    mus.reverse()
-    while mus and not mus[-1]:
-        mus.pop()  # trailing zeros; what is left is already a partition
-    return tuple(lams), tuple(mus)
-
-
 @dataclass(frozen=True)
 class SkewShape:
     """A skew shape lambda/mu, held as the minimal pair of its translation class.
 
     The constructor replaces any valid pair by the one skew_from_cells
-    recovers from its cells (_minimal_pair), so equality and hashing
-    compare translation classes.
+    recovers from its cells, so equality and hashing compare translation
+    classes.
     """
 
     outer: Partition
@@ -138,12 +112,29 @@ class SkewShape:
         inner = check_partition(self.inner)
         if len(inner) > len(outer):
             raise ShapeError(f"inner has more rows than outer: {inner} > {outer}")
-        for i, m in enumerate(inner):
-            if m > outer[i]:
+        # one walk up the rows checks inner against outer and builds the
+        # minimal pair: empty rows below the bottom cell and above the top
+        # cell go, the bottom row moves to column zero, and each empty row in
+        # between becomes as long as the row below it
+        mu = inner + (0,) * (len(outer) - len(inner))
+        lams, mus = [], []
+        shift = zeros = kept = 0
+        for i in range(len(outer) - 1, -1, -1):
+            lam, m = outer[i], mu[i]
+            if m > lam:
                 raise ShapeError(f"inner exceeds outer in row {i}: {inner} vs {outer}")
-        outer, inner = _minimal_pair(outer, inner)
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
+            if m < lam:
+                if not lams:
+                    shift = m
+                lams.append(lam - shift)
+                mus.append(m - shift)
+                zeros += m == shift  # inner's zeros are its bottom rows
+                kept = len(lams)
+            elif lams:
+                lams.append(lams[-1])
+                mus.append(lams[-1])
+        object.__setattr__(self, "outer", tuple(reversed(lams[:kept])))
+        object.__setattr__(self, "inner", tuple(reversed(mus[zeros:kept])))
 
     @cached_property
     def cells(self) -> frozenset[Cell]:
@@ -179,28 +170,30 @@ def skew_from_cells(cells) -> SkewShape:
     """Recover the minimal lambda/mu realizing a cell set, or raise NotSkewError.
 
     Each nonempty row r must be a contiguous column interval, read as
-    [mu_r, lambda_r); an empty row takes the length of the row below.  The
-    cells form a skew shape exactly when the lambda and mu read this way
-    are partitions, which the SkewShape constructor checks.
+    [mu_r, lambda_r) after the least row and column are subtracted; an
+    empty row takes the length of the row below.  The cells form a skew
+    shape exactly when the lambda and mu read this way are partitions,
+    which the SkewShape constructor checks.
     """
-    cells = canonicalize_cells(cells)
-    if not cells:
-        return EMPTY_SHAPE
     by_row: dict[int, list[int]] = {}
     for r, c in cells:
         by_row.setdefault(r, []).append(c)
-    nrows = max(by_row) + 1
+    if not by_row:
+        return EMPTY_SHAPE
+    top = min(by_row)
+    left = min(map(min, by_row.values()))
+    nrows = max(by_row) - top + 1
     lam = [0] * nrows
     mu = [0] * nrows
     for r in range(nrows - 1, -1, -1):
-        cols = by_row.get(r)
+        cols = by_row.get(r + top)
         if cols is None:
             lam[r] = mu[r] = lam[r + 1]
             continue
         lo, hi = min(cols), max(cols)
         if hi - lo + 1 != len(cols):
             raise NotSkewError(f"row {r} is not a contiguous interval")
-        lam[r], mu[r] = hi + 1, lo
+        lam[r], mu[r] = hi + 1 - left, lo - left
     try:
         return SkewShape(tuple(lam), tuple(mu))
     except ShapeError as exc:

@@ -20,6 +20,7 @@ from .shapes import (
     Composition,
     Partition,
     SkewShape,
+    check_partition,
     format_shape,
     is_connected,
     is_ribbon,
@@ -210,6 +211,7 @@ EXPANSION_LIMIT = 26  # beyond this the report omits Schur expansions
 class Report:
     """A verdict on two composed shapes; each side is Schur-expanded when first read."""
 
+    beta: Partition
     instance: str
     hypotheses: dict
     lhs_shape: SkewShape
@@ -261,7 +263,7 @@ def _build_report(
     Under strict, raises unless beta and the structure satisfy the
     theorem's hypotheses.
     """
-    beta = tuple(beta)
+    beta = check_partition(beta)
     beta_ok = is_rect_minus_corner(beta)
     loose = structure.loose_ends.found
     if strict and not beta_ok:
@@ -278,6 +280,7 @@ def _build_report(
         schur.check_h_degree(side.size)
     prefix = "corollary " if corollary else ""
     return Report(
+        beta=beta,
         instance=f"{prefix}beta={','.join(map(str, beta))} gamma={format_shape(structure.gamma)}",
         hypotheses={"betaShape": beta_ok, "looseEnds": loose, "wowValid": True},
         lhs_shape=lhs,
@@ -410,14 +413,15 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     s composed with gamma at the key size, routes connected-ribbon
     factors to the direct terms and everything else into the matrices,
     and checks the column equalities and the key-column balance.  It
-    holds the report of verify_main_theorem whose two sides it traces.
+    holds the report of verify_main_theorem whose two sides it traces,
+    and reads beta as that report normalized it.
     """
     report = verify_main_theorem(beta, structure, strict)
     lhs_shape, rhs_shape = report.lhs_shape, report.rhs_shape  # beta o gamma, beta* o gamma
     keys = structure.keys
     n = keys.size
     alpha1, alpha2 = keys.top, keys.bottom
-    s_parts = filled_rectangle(beta, structure.orientation)
+    s_parts = filled_rectangle(report.beta, structure.orientation)
     degenerate = 1 in (len(s_parts), s_parts[0])
     s_shape, frames = wow.compose_layout(SkewShape(s_parts), structure)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from schurhopf import cli, hopf, schur, shapes, verifier, wow
 from schurhopf.schur import (
     SymFunc,
+    SymFuncError,
     connected_ribbons_of_size,
     h_expansion,
     h_terms,
@@ -20,6 +21,7 @@ from schurhopf.schur import (
     sym_to_monomials,
 )
 from schurhopf.shapes import (
+    ShapeError,
     SkewShape,
     box_bounded_shapes,
     direct_sum,
@@ -79,6 +81,10 @@ class TestSchurExpand:
     def test_identity_on_partitions(self):
         for lam in partitions_of(5):
             assert schur_expand(SkewShape(lam)).as_dict() == {lam: 1}
+
+    def test_lr_coefficient_refuses_non_integer_parts(self):
+        with pytest.raises(ShapeError):
+            lr_coefficient((2.9, 1), (1,), (2,))
 
     def test_lr_coefficients_nonnegative_unit(self):
         for lam in partitions_of(5):
@@ -337,8 +343,8 @@ class TestSchurEqual:
             assert schur_equal(shape, rotate180(shape))
 
     def test_half_turn_pair_shares_one_image(self, monkeypatch):
-        # a half-turn pair is equal with no h-image, and a shape and its
-        # half-turn are expanded as one shape
+        # a half-turn pair is equal with no h-image; any other pair of the
+        # same size expands both sides
         calls = []
         monkeypatch.setattr(schur, "h_expansion", lambda shape: calls.append(shape) or h_expansion(shape))
         a, b = shp("3,1"), shp("2,2")
@@ -348,7 +354,7 @@ class TestSchurEqual:
         assert not schur_equal(a, b)
         assert not schur_equal(rotate180(a), b)
         assert not schur_equal(b, rotate180(a))
-        assert len(calls) == 6 and len(set(calls)) == 2
+        assert len(calls) == 6
 
     def test_unequal_partitions(self):
         assert not schur_equal(shp("2,2"), shp("2,1,1"))
@@ -395,6 +401,14 @@ class TestRendering:
     def test_render_negative(self):
         f = SymFunc.from_dict(2, {(2,): 1, (1, 1): -1})
         assert f.render() == "s[2] - s[1,1]"
+
+    def test_non_integer_coefficient_refused(self):
+        # neither truncated (2.5 to 2) nor parsed from text
+        for c in (2.5, "3"):
+            with pytest.raises(SymFuncError):
+                SymFunc.from_dict(2, {(2,): c})
+        with pytest.raises(ShapeError):
+            SymFunc.from_dict(2, {(2.0,): 1})
 
     def test_render_zero(self):
         assert SymFunc.zero(4).render() == "0"

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurhopf.shapes import (
     EMPTY_SHAPE,
@@ -60,6 +62,93 @@ def test_check_partition_exhaustive():
                 assert check_partition(parts) == expected, parts
             count += 1
     assert count == 55_987
+
+
+def test_non_integer_parts_refused():
+    # a float or a str is refused, not truncated or parsed
+    for parts in ([3.7, 1], (2.5, 1.9), ["3"], (2, 1.0)):
+        with pytest.raises(ShapeError):
+            check_partition(parts)
+    with pytest.raises(ShapeError):
+        SkewShape((2.5, 1.9))
+    with pytest.raises(ShapeError):
+        SkewShape((3, 1), (0.5,))
+
+
+def _minimal_pair(outer, inner):
+    """The reference minimal pair of a valid lambda/mu, in its own pass.
+
+    Empty rows above the top cell and below the bottom cell go, the bottom
+    row moves to column zero, and each empty row in between becomes as
+    long as the row below it.
+    """
+    mu = inner + (0,) * (len(outer) - len(inner))
+    rows = [i for i, (lam, m) in enumerate(zip(outer, mu)) if lam > m]
+    if not rows:
+        return (), ()
+    shift = mu[rows[-1]]
+    lams, mus = [], []
+    below = 0
+    for i in range(rows[-1], rows[0] - 1, -1):
+        if outer[i] > mu[i]:
+            below = outer[i] - shift
+            mus.append(mu[i] - shift)
+        else:
+            mus.append(below)
+        lams.append(below)
+    lams.reverse()
+    mus.reverse()
+    while mus and not mus[-1]:
+        mus.pop()
+    return tuple(lams), tuple(mus)
+
+
+def _reference_pair(outer, inner):
+    """The minimal pair by separate checks and _minimal_pair, or None for an invalid pair."""
+    outer, inner = _plain_partition(outer), _plain_partition(inner)
+    if outer is None or inner is None or len(inner) > len(outer):
+        return None
+    if any(m > lam for m, lam in zip(inner, outer)):
+        return None
+    return _minimal_pair(outer, inner)
+
+
+@st.composite
+def raw_pairs(draw):
+    """(outer, inner) lists: a valid pair with empty rows, shifted and padded, maybe broken."""
+    outer = sorted(draw(st.lists(st.integers(0, 6), max_size=6)), reverse=True)
+    inner = []
+    for lam in reversed(outer):  # bottom up; a row is often left empty
+        low = inner[-1] if inner else 0
+        inner.append(draw(st.one_of(st.just(lam), st.integers(low, lam))))
+    inner.reverse()
+    shift = draw(st.integers(0, 3))
+    top = outer[0] + shift if outer else shift
+    above = draw(st.integers(0, 2))  # empty rows above the top cell
+    outer = [top] * above + [p + shift for p in outer] + [0] * draw(st.integers(0, 2))
+    inner = [top] * above + [m + shift for m in inner] + [0] * draw(st.integers(0, 2))
+    if draw(st.booleans()):  # break it, or leave it valid, by one part
+        parts = draw(st.sampled_from([outer, inner]))
+        if parts:
+            parts[draw(st.integers(0, len(parts) - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+        else:
+            parts.append(draw(st.integers(-1, 2)))
+    return outer, inner
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(raw_pairs())
+def test_constructor_matches_reference(pair):
+    # the one-walk constructor gives the reference pair, and raises exactly
+    # where the separate checks refuse the pair
+    outer, inner = pair
+    expected = _reference_pair(outer, inner)
+    if expected is None:
+        with pytest.raises(ShapeError):
+            SkewShape(outer, inner)
+    else:
+        shape = SkewShape(outer, inner)
+        assert (shape.outer, shape.inner) == expected
 
 
 class TestCellsOf:

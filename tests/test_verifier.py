@@ -7,6 +7,7 @@ import pytest
 from schurhopf import hopf, schur, verifier
 from schurhopf.schur import connected_ribbons_of_size, multiply, schur_expand
 from schurhopf.shapes import (
+    ShapeError,
     is_connected,
     is_ribbon,
     parse_shape,
@@ -290,6 +291,21 @@ class TestVerify:
     def test_strict_loose_ends(self, counterexample_structure):
         with pytest.raises(HypothesesFailError):
             verify_main_theorem((2, 1), counterexample_structure, strict=True)
+
+    def test_beta_trailing_zero_is_the_same_beta(self, positive_structure):
+        # (2, 1, 0) spells the partition (2, 1): the same report and trace,
+        # also under strict
+        for strict in (False, True):
+            padded = verify_main_theorem((2, 1, 0), positive_structure, strict=strict)
+            plain = verify_main_theorem((2, 1), positive_structure, strict=strict)
+            assert padded.to_json() == plain.to_json()
+            assert padded.mode == "theorem" and padded.beta == (2, 1)
+        padded = proof_trace((2, 1, 0), positive_structure)
+        assert padded.to_json() == proof_trace((2, 1), positive_structure).to_json()
+
+    def test_non_integer_beta_refused(self, positive_structure):
+        with pytest.raises(ShapeError):
+            verify_main_theorem((2.5, 1), positive_structure)
 
     def test_report_json(self, positive_structure):
         data = verify_main_theorem((2, 1), positive_structure).to_json()
