@@ -7,17 +7,17 @@ fillings directly and never calls the Littlewood-Richardson machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import index
 
 from .shapes import (
     Composition,
     Partition,
+    Record,
     SkewShape,
     check_partition,
     direct_sum,
+    integers,
     rotate180,
     transpose,
 )
@@ -31,8 +31,7 @@ def _sorted_terms(coeffs: dict[Partition, int]):
     return sorted(coeffs.items(), key=lambda kv: kv[0], reverse=True)
 
 
-@dataclass(frozen=True)
-class SymFunc:
+class SymFunc(Record):
     """Homogeneous symmetric function in the Schur basis with integer coefficients."""
 
     degree: int
@@ -40,10 +39,8 @@ class SymFunc:
 
     @staticmethod
     def from_dict(degree: int, coeffs: dict[Partition, int]) -> "SymFunc":
-        try:
-            clean = {check_partition(p): k for p, c in coeffs.items() if (k := index(c))}
-        except TypeError as exc:
-            raise SymFuncError(f"coefficients must be integers: {exc}") from None
+        values = integers(coeffs.values(), SymFuncError)
+        clean = {check_partition(p): k for p, k in zip(coeffs, values) if k}
         for p in clean:
             if sum(p) != degree:
                 raise SymFuncError(f"partition {p} does not have degree {degree}")
@@ -96,8 +93,7 @@ def terms_json(pairs) -> JsonText:
     ) + "]")
 
 
-@dataclass(frozen=True)
-class MonomialPoly:
+class MonomialPoly(Record):
     """Polynomial in k variables as a map from exponent vectors to integers."""
 
     k: int
@@ -260,8 +256,7 @@ def ribbon_product(a: Composition, b: Composition) -> tuple[Composition, Composi
     the right), then the stacking ribbon (b's bottom box sits directly
     above a's top-right box).
     """
-    a = tuple(int(x) for x in a)
-    b = tuple(int(x) for x in b)
+    a, b = integers(a, SymFuncError), integers(b, SymFuncError)
     if not a or not b:
         raise SymFuncError("ribbon product needs nonempty ribbons")
     concat = b[:-1] + (b[-1] + a[0],) + a[1:]

@@ -9,9 +9,8 @@ each other.  Rows grow downward and columns grow rightward, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from operator import index
+from operator import attrgetter, index
 
 Cell = tuple[int, int]
 Partition = tuple[int, ...]
@@ -34,6 +33,14 @@ class DisconnectedError(ShapeError):
     """Operation requires a connected shape."""
 
 
+def integers(values, error=ShapeError) -> tuple[int, ...]:
+    """The values as ints; error, not truncation, for one with no __index__ (a float or a str)."""
+    try:
+        return tuple(map(index, values))
+    except TypeError as exc:
+        raise error(f"must be integers: {exc}") from None
+
+
 def check_partition(parts) -> Partition:
     """Normalize an iterable of row lengths into a partition tuple.
 
@@ -41,10 +48,7 @@ def check_partition(parts) -> Partition:
     __index__, so no float or str), and anything non-monotone or
     negative, is rejected.
     """
-    try:
-        out = list(map(index, parts))
-    except TypeError as exc:
-        raise ShapeError(f"parts must be integers: {exc}") from None
+    out = list(integers(parts))
     while out and out[-1] == 0:
         out.pop()
     for a, b in zip(out, out[1:]):
@@ -95,21 +99,60 @@ def canonicalize_cells(cells) -> frozenset[Cell]:
     return frozenset((r - dr, c - dc) for r, c in cells)
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class Record:
+    """An immutable value whose fields are its class's own annotations, in order.
+
+    It does a frozen dataclass's job without importing dataclasses (and with
+    it inspect, ast and dis: a third of the CLI's import).  A field valued in
+    the class body is its default; cached_property fills, as it writes __dict__.
+    """
+
+    def __init_subclass__(cls):
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        if names:
+            cls._fields, cls._key = names, attrgetter(*names)
+            cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or values.keys() != set(names)
+                or not kwargs.keys().isdisjoint(names[: len(args)])):
+            raise TypeError(f"{type(self).__name__} takes each of the fields {names} once")
+        self.__dict__.update(values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class SkewShape(Record):
     """A skew shape lambda/mu, held as the minimal pair of its translation class.
 
     The constructor replaces any valid pair by the one skew_from_cells
     recovers from its cells, so equality and hashing compare translation
-    classes.
+    classes; they are written out, at half the cost of Record's.
     """
 
     outer: Partition
     inner: Partition = ()
 
-    def __post_init__(self):
-        outer = check_partition(self.outer)
-        inner = check_partition(self.inner)
+    def __init__(self, outer, inner=()):
+        outer = check_partition(outer)
+        inner = check_partition(inner)
         if len(inner) > len(outer):
             raise ShapeError(f"inner has more rows than outer: {inner} > {outer}")
         # one walk up the rows checks inner against outer and builds the
@@ -133,8 +176,16 @@ class SkewShape:
             elif lams:
                 lams.append(lams[-1])
                 mus.append(lams[-1])
-        object.__setattr__(self, "outer", tuple(reversed(lams[:kept])))
-        object.__setattr__(self, "inner", tuple(reversed(mus[zeros:kept])))
+        outer, inner = tuple(reversed(lams[:kept])), tuple(reversed(mus[zeros:kept]))
+        self.__dict__.update(outer=outer, inner=inner)  # one update keeps attribute reads fast
+
+    def __eq__(self, other):
+        if other.__class__ is not SkewShape:
+            return NotImplemented
+        return self.outer == other.outer and self.inner == other.inner
+
+    def __hash__(self):
+        return hash((self.outer, self.inner))
 
     @cached_property
     def cells(self) -> frozenset[Cell]:
@@ -317,7 +368,7 @@ def ribbon_shape(comp: Composition) -> SkewShape:
 
     Consecutive rows overlap in exactly one column.
     """
-    comp = tuple(int(a) for a in comp)
+    comp = integers(comp)
     if not comp or any(a <= 0 for a in comp):
         raise ShapeError(f"bad ribbon composition {comp!r}")
     lam, mu = [], []

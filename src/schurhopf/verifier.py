@@ -10,8 +10,6 @@ applied to those images, and checks every equality the argument relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
@@ -19,6 +17,7 @@ from . import hopf, schur, wow
 from .shapes import (
     Composition,
     Partition,
+    Record,
     SkewShape,
     check_partition,
     format_shape,
@@ -57,8 +56,7 @@ class HypothesesFailError(VerifierError):
     pass
 
 
-@dataclass(frozen=True)
-class RibbonBasis:
+class RibbonBasis(Record):
     """Ordered basis of degree-n symmetric functions made of connected ribbons."""
 
     degree: int
@@ -82,6 +80,7 @@ def ribbon_basis(n: int, required: tuple[Composition, ...] = ()) -> RibbonBasis:
     seeds are already dependent; callers fall back on the scalar-multiple
     lemma in that case.
     """
+    from fractions import Fraction  # here, so only a proof trace loads fractions
     if n < 1:
         raise VerifierError("degree must be positive")
     order = tuple(sorted(partitions_of(n), reverse=True))
@@ -129,14 +128,17 @@ def _solve_in_basis(basis: RibbonBasis, coeffs: dict[Partition, int]) -> tuple[i
     return tuple(sum(a * b for a, b in zip(row, c)) for row in basis.solver)
 
 
-def coefficient_vector(shape: SkewShape, basis: RibbonBasis) -> tuple[Fraction, ...]:
-    """Row coefficient vector of the shape's Schur function in the basis."""
+def _scaled_vector(shape: SkewShape, basis: RibbonBasis) -> tuple[int, ...]:
+    """D times the shape's row coefficient vector in the basis, D = basis.denominator."""
     if shape.size != basis.degree:
-        raise DegreeMismatchError(
-            f"shape of size {shape.size} against a degree-{basis.degree} basis"
-        )
-    scaled = _solve_in_basis(basis, schur.schur_expand(shape).as_dict())
-    return tuple(Fraction(x, basis.denominator) for x in scaled)
+        raise DegreeMismatchError(f"size-{shape.size} shape against a degree-{basis.degree} basis")
+    return _solve_in_basis(basis, schur.schur_expand(shape).as_dict())
+
+
+def coefficient_vector(shape: SkewShape, basis: RibbonBasis) -> tuple:
+    """Row coefficient vector of the shape's Schur function in the basis, as Fractions."""
+    from fractions import Fraction
+    return tuple(Fraction(x, basis.denominator) for x in _scaled_vector(shape, basis))
 
 
 def parity_vector(basis: RibbonBasis) -> tuple[int, ...]:
@@ -145,12 +147,10 @@ def parity_vector(basis: RibbonBasis) -> tuple[int, ...]:
 
 
 def check_signed_sum(shape: SkewShape, basis: RibbonBasis) -> bool:
-    """v . coefficient_vector(shape) == 0 for non-connected-ribbon shapes."""
+    """D times v . coefficient_vector(shape) == 0, for a shape that is not a connected ribbon."""
     if shape.size > 0 and is_connected(shape) and is_ribbon(shape):
         raise IsConnectedRibbonError("shape is a connected ribbon")
-    vec = coefficient_vector(shape, basis)
-    v = parity_vector(basis)
-    return sum(s * x for s, x in zip(v, vec)) == 0
+    return sum(s * x for s, x in zip(parity_vector(basis), _scaled_vector(shape, basis))) == 0
 
 
 def check_scalar_multiple_lemma(n: int) -> bool:
@@ -164,11 +164,9 @@ def check_scalar_multiple_lemma(n: int) -> bool:
             fa, fb = expansions[a], expansions[b]
             if set(fa) != set(fb):
                 continue
-            k0 = next(iter(fa))
-            ratio = Fraction(fa[k0], fb[k0])
-            if all(Fraction(fa[p]) == ratio * fb[p] for p in fa):
-                if fa != fb:
-                    return False
+            k0 = next(iter(fa))  # proportional: fa = (fa[k0] / fb[k0]) fb, cross-multiplied
+            if fa != fb and all(fa[p] * fb[k0] == fb[p] * fa[k0] for p in fa):
+                return False
     return True
 
 
@@ -207,8 +205,7 @@ def filled_rectangle(beta: Partition, orientation: str) -> Partition:
 EXPANSION_LIMIT = 26  # beyond this the report omits Schur expansions
 
 
-@dataclass
-class Report:
+class Report(Record):
     """A verdict on two composed shapes; each side is Schur-expanded when first read."""
 
     beta: Partition
@@ -310,8 +307,7 @@ def _ratio_text(x: int, d: int) -> str:
     return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
-@dataclass
-class ProofTrace:
+class ProofTrace(Record):
     """Everything the column-sum argument checks, with verdicts, and the report it traces."""
 
     report: Report

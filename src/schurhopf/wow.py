@@ -13,7 +13,6 @@ WowStructure checks nothing, and find_structure is the checked way in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import hopf
@@ -22,6 +21,7 @@ from .shapes import (
     Composition,
     DisconnectedError,
     NotSkewError,
+    Record,
     SkewShape,
     canonicalize_cells,
     connected_shapes,
@@ -49,8 +49,7 @@ class StructureError(ValueError):
     """Candidate (gamma, W placements) violates the structure axioms."""
 
 
-@dataclass(frozen=True)
-class WowStructure:
+class WowStructure(Record):
     """A structure on gamma, built unchecked.
 
     Only detect_wow, rotate_structure and transpose_structure build one.
@@ -326,8 +325,7 @@ def compose(alpha: SkewShape, structure: WowStructure) -> SkewShape:
     return shape
 
 
-@dataclass(frozen=True)
-class KeyRibbons:
+class KeyRibbons(Record):
     top: Composition
     bottom: Composition
     size: int
@@ -396,8 +394,7 @@ def key_ribbons(structure: WowStructure) -> KeyRibbons:
     return KeyRibbons(top, bottom, n, top_fp, bottom_fp)
 
 
-@dataclass(frozen=True)
-class LooseEnds:
+class LooseEnds(Record):
     found: bool
     witnesses: tuple[tuple[Composition, frozenset[Cell]], ...]
 

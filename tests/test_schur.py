@@ -220,6 +220,12 @@ class TestRibbonProduct:
             rhs[p] = rhs.get(p, 0) + c
         assert lhs == SymFunc.from_dict(sum(a) + sum(b), rhs)
 
+    def test_non_integer_rows_refused(self):
+        # neither truncated nor parsed: (2.7,) and ("3",) are not read as (2,) and (3,)
+        for a, b in (((2.7,), ("3",)), ((2,), (1.0,)), (("2",), (1,))):
+            with pytest.raises(SymFuncError):
+                ribbon_product(a, b)
+
     def test_sizes(self):
         first, second = ribbon_product((2,), (1,))
         assert sum(first) == sum(second) == 3

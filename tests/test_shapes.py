@@ -73,6 +73,9 @@ def test_non_integer_parts_refused():
         SkewShape((2.5, 1.9))
     with pytest.raises(ShapeError):
         SkewShape((3, 1), (0.5,))
+    for comp in ((2.5, 1.9), ("3", "1")):  # not SkewShape('2,1') or SkewShape('3,1')
+        with pytest.raises(ShapeError):
+            ribbon_shape(comp)
 
 
 def _minimal_pair(outer, inner):

@@ -1,10 +1,13 @@
 """The library imports nothing outside the standard library and itself,
-uses every name it imports outside `__init__`, and parses under the
-oldest Python that pyproject.toml admits."""
+uses every name it imports outside `__init__`, parses under the oldest
+Python that pyproject.toml admits, and keeps a CLI call's cold start
+free of the heavy standard modules it does not need."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -124,3 +127,51 @@ def test_only_wow_builds_structures(path):
     # so no other module may build one (wow.find_structure is the checked way in)
     tree = ast.parse(path.read_text(), filename=str(path))
     assert "WowStructure" not in set(_called_names(tree)), f"{path.name} builds a WowStructure"
+
+
+# dataclasses pulls in inspect (and ast, dis, tokenize), fractions pulls in
+# decimal; a cold CLI call needs none of them, and only a proof trace needs fractions
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+def _heavy_loaded_by(code: str) -> list[str]:
+    """HEAVY modules that code loads in a fresh interpreter, beyond its start-up.
+
+    The pytest process has long since imported everything, so only a new
+    process can tell.  The probe reports on stderr, as code may write stdout.
+    """
+    src = str(pathlib.Path(schurhopf.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        "start = set(sys.modules)\n"
+        f"{code}\n"
+        f"sys.stderr.write(' '.join(m for m in {HEAVY!r} if m in set(sys.modules) - start))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.split()
+
+
+def test_cli_import_loads_no_heavy_module():
+    assert _heavy_loaded_by("import schurhopf.cli") == []
+
+
+def test_verify_json_loads_no_fractions():
+    code = (
+        "from schurhopf import cli\n"
+        "assert cli.main(['verify', '--beta', '2,1', '--gamma', '4,4,2,2/2,1', '--json']) == 0"
+    )
+    assert _heavy_loaded_by(code) == []
+
+
+def test_probe_sees_fractions_in_a_proof_trace():
+    # the probe itself can see a lazily imported module
+    code = (
+        "from schurhopf import cli\n"
+        "cli.main(['verify', '--beta', '2,1', '--gamma', '4,4,2,2/2,1', '--trace', '--json'])"
+    )
+    assert "fractions" in _heavy_loaded_by(code)
