@@ -31,11 +31,11 @@ SCHEMA = 1
 
 
 def _emit(payload, as_json: bool, text_lines):
-    """Write payload() as JSON under --json, else the text lines."""
+    """Write payload() as JSON under --json, else the lines of text_lines()."""
     if as_json:
         _write_json(payload())
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -97,7 +97,6 @@ def cmd_expand(args) -> int:
     shape = parse_shape(args.shape)
     if args.vars is not None:
         poly = schur.monomial_expansion(shape, args.vars)
-        lines = [" + ".join(_monomial_text(e, c) for e, c in poly.terms) or "0"]
         _emit(lambda: {
             "schema": SCHEMA,
             "shape": format_shape(shape),
@@ -105,14 +104,14 @@ def cmd_expand(args) -> int:
             "monomials": [
                 {"exponents": list(e), "coefficient": c} for e, c in poly.terms
             ],
-        }, args.json, lines)
+        }, args.json, lambda: [" + ".join(_monomial_text(e, c) for e, c in poly.terms) or "0"])
         return 0
     f = schur.schur_expand(shape)
     _emit(lambda: {
         "schema": SCHEMA,
         "shape": format_shape(shape),
         "expansion": f.to_json(),
-    }, args.json, [f.render()])
+    }, args.json, lambda: [f.render()])
     return 0
 
 
@@ -177,20 +176,18 @@ def cmd_verify(args) -> int:
             return f" = ({len(f.coeffs)} Schur terms)"
         return f" = {f.render()}"
 
-    lines = [
-        structure.describe(),
-        f"hypotheses: betaShape={report.hypotheses['betaShape']} "
-        f"looseEnds={report.hypotheses['looseEnds']} mode={report.mode}",
-        f"lhs {format_shape(report.lhs_shape)}" + summary(report.lhs),
-        f"rhs {format_shape(report.rhs_shape)}" + summary(report.rhs),
-        f"equal: {report.equal}",
-    ]
-    if trace is not None:
-        lines.append(
-            f"trace: oneKey={trace.one_key_left_ok and trace.one_key_right_ok} "
-            f"columns={trace.all_column_equalities_hold()} balance={trace.balance_ok}"
-        )
-    _emit(payload, args.json, lines)
+    def text_lines():
+        yield structure.describe()
+        yield (f"hypotheses: betaShape={report.hypotheses['betaShape']} "
+               f"looseEnds={report.hypotheses['looseEnds']} mode={report.mode}")
+        yield f"lhs {format_shape(report.lhs_shape)}" + summary(report.lhs)
+        yield f"rhs {format_shape(report.rhs_shape)}" + summary(report.rhs)
+        yield f"equal: {report.equal}"
+        if trace is not None:
+            yield (f"trace: oneKey={trace.one_key_left_ok and trace.one_key_right_ok} "
+                   f"columns={trace.all_column_equalities_hold()} balance={trace.balance_ok}")
+
+    _emit(payload, args.json, text_lines)
     return 0 if report.equal else 1
 
 
@@ -254,13 +251,13 @@ def cmd_search(args) -> int:
                 rows += _search_one(gamma, rotated, flipped, betas)
     rows.sort(key=lambda r: (r["gamma"], r["structure"], r["beta"]))
 
-    lines = [
-        f"{r['structure']}  beta={r['beta']}  keySize={r['keySize']} "
-        f"looseEnds={r['looseEnds']} hypotheses={r['hypothesesHold']} equal={r['equal']}"
-        for r in rows
-    ]
-    lines.append(f"total instances: {len(rows)}")
-    _emit(lambda: {"schema": SCHEMA, "maxSize": args.max_size, "instances": rows}, args.json, lines)
+    def text_lines():
+        for r in rows:
+            yield (f"{r['structure']}  beta={r['beta']}  keySize={r['keySize']} "
+                   f"looseEnds={r['looseEnds']} hypotheses={r['hypothesesHold']} equal={r['equal']}")
+        yield f"total instances: {len(rows)}"
+
+    _emit(lambda: {"schema": SCHEMA, "maxSize": args.max_size, "instances": rows}, args.json, text_lines)
     return 0
 
 

@@ -103,20 +103,19 @@ class Record:
     """An immutable value whose fields are its class's own annotations, in order.
 
     It does a frozen dataclass's job without importing dataclasses (and with
-    it inspect, ast and dis: a third of the CLI's import).  A field valued in
-    the class body is its default; cached_property fills, as it writes __dict__.
+    it inspect, ast and dis: a third of the CLI's import).  Every field is
+    required; cached_property fills, as it writes __dict__.
     """
 
     def __init_subclass__(cls):
         names = tuple(cls.__dict__.get("__annotations__", ()))
         if names:
-            cls._fields, cls._key = names, attrgetter(*names)
-            cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+            cls._fields, cls._names, cls._key = names, frozenset(names), attrgetter(*names)
 
     def __init__(self, *args, **kwargs):
         names = self._fields
-        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
-        if (len(args) > len(names) or values.keys() != set(names)
+        values = dict(zip(names, args), **kwargs)
+        if (len(args) > len(names) or values.keys() != self._names
                 or not kwargs.keys().isdisjoint(names[: len(args)])):
             raise TypeError(f"{type(self).__name__} takes each of the fields {names} once")
         self.__dict__.update(values)
@@ -148,7 +147,7 @@ class SkewShape(Record):
     """
 
     outer: Partition
-    inner: Partition = ()
+    inner: Partition
 
     def __init__(self, outer, inner=()):
         outer = check_partition(outer)
@@ -331,15 +330,17 @@ def connected_components(shape: SkewShape) -> tuple[SkewShape, ...]:
 
     Rows i - 1 and i touch exactly when mu_(i-1) < lambda_i, so each
     component is a block of rows between cuts; a minimal pair's empty row
-    is cut on both sides, and its block is dropped.
+    is cut on both sides.  As lam >= mu part by part, lam[a:b] > mu[a:b]
+    fails only on such an empty block, which is skipped before any shape
+    is built.
 
     hopf.shape_class relies on this order: a class is the direct sum of
     these components, so the order makes that shape canonical.
     """
     lam, mu = shape.outer, shape.padded_inner
     cuts = [0, *(i for i in range(1, len(lam)) if mu[i - 1] >= lam[i]), len(lam)]
-    blocks = (SkewShape(lam[a:b], mu[a:b]) for a, b in zip(cuts, cuts[1:]))
-    return tuple(sorted((c for c in blocks if c.size), key=shape_sort_key))
+    blocks = [SkewShape(lam[a:b], mu[a:b]) for a, b in zip(cuts, cuts[1:]) if lam[a:b] > mu[a:b]]
+    return tuple(sorted(blocks, key=shape_sort_key))
 
 
 def is_connected(shape: SkewShape) -> bool:

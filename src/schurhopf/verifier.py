@@ -66,9 +66,6 @@ class RibbonBasis(Record):
     solver: tuple[tuple[int, ...], ...]  # solver / denominator inverts the transposed matrix
     denominator: int
 
-    def index(self, comp: Composition) -> int:
-        return self.ribbons.index(tuple(comp))
-
 
 def ribbon_basis(n: int, required: tuple[Composition, ...] = ()) -> RibbonBasis:
     """Deterministic ribbon basis: required seeds, then lexicographic scan.
@@ -195,11 +192,9 @@ def filled_rectangle(beta: Partition, orientation: str) -> Partition:
         raise BadBetaError(f"{beta} is not a rectangle minus its corner")
     if beta == (1,):
         return (2,) if orientation == wow.RR else (1, 1)
-    if len(beta) == 1:
-        return (beta[0] + 1,)
-    if all(p == 1 for p in beta):
-        return (1,) * (len(beta) + 1)
-    return (beta[0],) * len(beta)
+    if beta[0] == 1:  # a column gains a row
+        return beta + (1,)
+    return beta[:-1] + (beta[-1] + 1,)  # the corner box goes back
 
 
 EXPANSION_LIMIT = 26  # beyond this the report omits Schur expansions
@@ -329,10 +324,10 @@ class ProofTrace(Record):
     signed_column_ok: bool
     balance_ok: bool
     key_column_equal: bool
-    direct_left: tuple = ()   # (composition, placement cells, remainder class)
-    direct_right: tuple = ()
-    extra_left: tuple = ()
-    extra_right: tuple = ()
+    direct_left: tuple  # (composition, placement cells, remainder class)
+    direct_right: tuple
+    extra_left: tuple
+    extra_right: tuple
 
     @property
     def denominator(self) -> int:
@@ -469,23 +464,21 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
 
     # ---- basis and coefficient vectors ---------------------------------
     modified = False
-    if alpha1 == alpha2:
+    try:
+        basis = ribbon_basis(n, (alpha1, alpha2))
+        modified = True
+    except DependentRequiredError:
+        # equal key ribbons are dependent seeds; for unequal ones the
+        # scalar-multiple lemma forces equality of the key columns
+        if not schur.schur_equal(ribbon_shape(alpha1), ribbon_shape(alpha2)):
+            raise
         basis = ribbon_basis(n, (alpha1,))
-    else:
-        try:
-            basis = ribbon_basis(n, (alpha1, alpha2))
-            modified = True
-        except DependentRequiredError:
-            # the scalar-multiple lemma forces equality of the key columns
-            if not schur.schur_equal(ribbon_shape(alpha1), ribbon_shape(alpha2)):
-                raise
-            basis = ribbon_basis(n, (alpha1,))
 
     v = parity_vector(basis)
-    i1 = basis.index(alpha1)
+    i1 = basis.ribbons.index(alpha1)
     columns: list = list(basis.ribbons)
     if modified:
-        i2 = basis.index(alpha2)
+        i2 = basis.ribbons.index(alpha2)
         columns[i2] = ("delta", alpha2, alpha1)
 
     def vector_for(cls) -> list[int]:

@@ -398,9 +398,6 @@ class LooseEnds(Record):
     found: bool
     witnesses: tuple[tuple[Composition, frozenset[Cell]], ...]
 
-    def __bool__(self):
-        return self.found
-
 
 def has_loose_end_ribbons(structure: WowStructure) -> LooseEnds:
     """Removable key-size ribbons positioned beyond the key footprints.

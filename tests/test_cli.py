@@ -5,9 +5,11 @@ import hashlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -718,3 +720,26 @@ def test_closed_pipe_subprocess_exit_141():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def _pool_replays():
+    """The benchmark's cheaper half of each verify list, and its landmarks.
+
+    perfbench/pool.json pins each call's exit code and stdout SHA-256; the
+    calls whose pinned cost is at most their list's median replay quickly.
+    """
+    pool = json.loads((Path(__file__).parents[1] / "perfbench" / "pool.json").read_text())
+    entries = []
+    for name in ("verify-cold", "trace"):
+        median = statistics.median(e["cost_s"] for e in pool[name])
+        entries += [e for e in pool[name] if e["cost_s"] <= median]
+        entries += pool["landmarks"][name]
+    return [pytest.param(e["args"], e["exit"], e["sha256"], id=" ".join(e["args"])) for e in entries]
+
+
+@pytest.mark.parametrize("argv, code, digest", _pool_replays())
+def test_benchmark_pool_replays(capsys, argv, code, digest):
+    # the benchmark rejects any change of a pinned exit code or digest
+    got_code, out, _ = run(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

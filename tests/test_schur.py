@@ -24,6 +24,7 @@ from schurhopf.shapes import (
     ShapeError,
     SkewShape,
     box_bounded_shapes,
+    connected_shapes,
     direct_sum,
     parse_shape,
     partitions_of,
@@ -332,13 +333,18 @@ class TestHExpansion:
     def test_matches_reference_kernel(self):
         # the row levels give the recursive kernel's images, key order included,
         # on every shape of the 6x6 box, their transposes, and direct sums:
-        # all ordered pairs of at most 5 cells in all, and each shape with its
-        # mirror in the list, up to 12 rows
+        # all ordered pairs of at most 5 cells in all, each shape with its
+        # mirror in the list, up to 12 rows, and all ordered triples of
+        # connected pieces of at most 9 cells in all, where row expansions
+        # meet the most vanishing minors
         shapes = list(box_bounded_shapes(6, 6))
         small = [s for s in shapes if 0 < s.size <= 4]
+        pieces = [s for n in range(1, 5) for s in connected_shapes(n)]
         cases = shapes + [transpose(s) for s in shapes]
         cases += [direct_sum((a, b)) for a in small for b in small if a.size + b.size <= 5]
         cases += [direct_sum(pair) for pair in zip(shapes, reversed(shapes))]
+        cases += [direct_sum((a, b, c)) for a in pieces for b in pieces for c in pieces
+                  if a.size + b.size + c.size <= 9]
         for shape in cases:
             assert list(h_expansion(shape).items()) == list(_reference_h_expansion(shape).items())
 

@@ -290,6 +290,17 @@ class TestConnectivity:
             expected = sorted((skew_from_cells(c) for c in cells), key=shape_sort_key)
             assert connected_components(shape) == tuple(expected), format_shape(shape)
 
+    def test_builds_one_shape_per_nonempty_block(self, monkeypatch):
+        # an empty row's block is skipped before a shape is built for it
+        family = [*box_bounded_shapes(5, 5), shp("3,1,1/2,1")]
+        built = []
+        init = SkewShape.__init__
+        monkeypatch.setattr(SkewShape, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        for shape in family:
+            built.clear()
+            comps = connected_components(shape)
+            assert len(built) == len(comps), format_shape(shape)
+
     def test_direct_sum_northeast_to_southwest(self):
         # pieces share no row or column, first piece top right; empties vanish
         total = direct_sum((shp("2,1"), EMPTY_SHAPE, shp("1"), shp("2,2/1")))

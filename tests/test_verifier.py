@@ -261,6 +261,8 @@ class TestBetaShapes:
         assert filled_rectangle((1, 1), "UU") == (1, 1, 1)
         assert filled_rectangle((1,), "RR") == (2,)
         assert filled_rectangle((1,), "UU") == (1, 1)
+        assert filled_rectangle((3, 3, 2), "UU") == (3, 3, 3)
+        assert filled_rectangle((1, 1, 1), "RR") == (1, 1, 1, 1)
         with pytest.raises(BadBetaError):
             filled_rectangle((2, 2), "RR")
 
@@ -457,3 +459,38 @@ class TestProofTrace:
         assert data["keySize"] == 5
         assert data["balance"] is True
         assert data["alpha1"] == [1, 2, 2]
+
+
+class TestBetasOutsideTheTheorem:
+    """What the program observes, exactly, for betas the theorem does not cover.
+
+    The theorem needs beta to be a rectangle minus its corner; 3,1, 2,1,1
+    and 4,2 are not.  Over every structure of the given gamma sizes, each
+    one without loose ends still gives equal sides, and each loose-end
+    equality is a half-turn coincidence: beta* o gamma is beta o gamma or
+    its half-turn.  These rows are observations, not consequences of a proof.
+    """
+
+    @pytest.mark.parametrize("beta, max_size, counts", [
+        ((3, 1), 8, (300, 6, 2)),
+        ((2, 1, 1), 8, (300, 6, 2)),
+        ((4, 2), 7, (122, 0, 0)),
+    ], ids=["3,1", "2,1,1", "4,2"])
+    def test_clean_structures_equal_and_loose_equalities_half_turns(self, beta, max_size, counts):
+        from schurhopf.shapes import rotate180
+        from schurhopf.wow import wow_catalog
+
+        assert not is_rect_minus_corner(beta)
+        structures = loose = loose_equal = 0
+        for st in wow_catalog(max_size):
+            report = verify_main_theorem(beta, st)
+            assert report.mode == "outside theorem"
+            structures += 1
+            if not report.hypotheses["looseEnds"]:
+                assert report.equal, st
+                continue
+            loose += 1
+            if report.equal:
+                loose_equal += 1
+                assert report.rhs_shape in (report.lhs_shape, rotate180(report.lhs_shape)), st
+        assert (structures, loose, loose_equal) == counts
