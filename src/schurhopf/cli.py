@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="scan all structures up to a size bound")
     p_search.add_argument("--max-size", type=int, required=True,
-                          help="largest gamma size (12 takes about 10 s and 32 MB)")
+                          help="largest gamma size (12 takes about 6 s and 34 MB)")
     p_search.add_argument("--beta", action="append", help="repeatable; default 2,1")
     p_search.add_argument("--json", action="store_true")
 

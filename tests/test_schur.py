@@ -321,9 +321,16 @@ class TestHExpansion:
             assert h_expansion(shape) == via_lr
 
     def test_caller_owns_image(self):
-        # each call builds its own image, so changing one changes no other
-        image = h_expansion(shp("2,1"))
-        image[0] = 0
+        # each call builds its own image, so changing one changes no other,
+        # also where minors share their sub-minors' terms: a single row (every
+        # minor one term), a single column and a ribbon
+        for text in ("2,1", "5", "1,1,1,1,1", "4,3,1/2"):
+            expected = list(h_expansion(shp(text)).items())
+            image = h_expansion(shp(text))
+            image[0] = 0
+            for key in list(image)[:-1]:
+                image[key] += 1
+            assert list(h_expansion(shp(text)).items()) == expected
         assert h_dict(h_expansion(shp("2,1"))) == {(2, 1): 1, (3,): -1}
 
     def test_h_product(self):
@@ -345,8 +352,24 @@ class TestHExpansion:
         cases += [direct_sum(pair) for pair in zip(shapes, reversed(shapes))]
         cases += [direct_sum((a, b, c)) for a in pieces for b in pieces for c in pieces
                   if a.size + b.size + c.size <= 9]
+        # long chains of one-term minors: both composed sides of the heaviest
+        # pooled verify call (39 cells, 20 rows) and of the positive landmark,
+        # each with its transpose
+        for beta, gamma in (((2, 2, 1), "4,3,3,2,2,2/2,2,1,1,1"), ((2, 1), "4,4,2,2/2,1")):
+            structure = wow.detect_wow(parse_shape(gamma))[0]
+            for alpha in (SkewShape(beta), rotate180(SkewShape(beta))):
+                side = compose(alpha, structure)
+                cases += [side, transpose(side)]
         for shape in cases:
             assert list(h_expansion(shape).items()) == list(_reference_h_expansion(shape).items())
+
+    def test_high_degree_entries(self):
+        # size 2, but the entry in row 0, column 1 is h_1001 (h_301): no
+        # table or cache of h_d keys bounded by the size may serve it
+        for shape in (SkewShape((1000, 1), (999,)), SkewShape((300, 1), (299,))):
+            image = h_expansion(shape)
+            assert list(image.items()) == list(_reference_h_expansion(shape).items())
+            assert h_dict(image) == {(1, 1): 1}
 
 
 class TestSchurEqual:
