@@ -325,9 +325,12 @@ def h_expansion(shape: SkewShape) -> dict[int, int]:
     # i, column j is nonzero exactly when j >= t_i, the first j with
     # b_j <= a_i.  Both a and b strictly decrease, so one walk finds the
     # thresholds, and they are non-decreasing.  A minor on rows i.. is fixed
-    # by its free columns, a bitmask of ell - i columns, and is expanded along
-    # row i; a free column under row i + 1's threshold must be taken by row
-    # i, and two such columns make it vanish
+    # by its free columns f_0 < f_1 < ..., a bitmask of ell - i columns, and
+    # is nonzero exactly when its diagonal entries have degree >= 0, that is
+    # f_k >= t_(i+k) for every k (Macdonald I.5).  Expanded along row i, a
+    # nonzero minor's term for f_j is nonzero exactly when f_k >= t_(i+1+k)
+    # for every k < j, so its nonzero terms are the prefix that ends with the
+    # first f_k under t_(i+1+k)
     a = [p - i for i, p in enumerate(lam)]
     b = [m - j for j, m in enumerate(shape.padded_inner)]
     below = []  # below[i]: mask of the columns under row i's threshold
@@ -337,25 +340,26 @@ def h_expansion(shape: SkewShape) -> dict[int, int]:
             t += 1
         below.append((1 << t) - 1)
     below.append(0)
-    # a pass over masks alone lists the minors each row reaches from the top,
-    # each with the last minor of the row above that reads it
+    # a pass over masks alone lists the nonzero minors each row reaches from
+    # the top, each with the last minor of the row above that reads it
     full = (1 << ell) - 1
     levels = [{full: None}]  # levels[i]: mask -> last reader, for row i's minors
-    for low in below[1:]:
+    for i in range(1, ell + 1):
         reached = {}
         for free in levels[-1]:
-            forced = free & low
-            rest = 0 if forced & (forced - 1) else forced or free
+            rest = free
+            row = i  # free column f_k must reach t_row, row = i + k
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 reached[free ^ bit] = free
+                if bit & below[row]:
+                    break
+                row += 1
         levels.append(reached)
     # the minors then go from the bottom row up, each row in the same order,
     # keyed by mask; each is dropped once its last reader has read it, and a
-    # zero minor is left out.  A minor is nonzero exactly when its diagonal
-    # entries have degree >= 0 (Macdonald I.5), and a lower column for row i
-    # leaves higher ones below, so a row stops at its first zero minor.  A
+    # row's terms end at the first sub-minor the mask pass did not list.  A
     # minor is held as (shift, terms), its image {k + shift: c}, so a
     # one-term minor shares its sub-minor's terms; no stored terms change
     done: dict[int, tuple[int, dict[int, int]]] = {0: (0, {0: 1})}
@@ -372,10 +376,10 @@ def h_expansion(shape: SkewShape) -> dict[int, int]:
                 bit = rest & -rest
                 rest ^= bit
                 minor = free ^ bit
-                sub = done.pop(minor, None) if last.get(minor) == free else done.get(minor)
-                if sub is None:
+                reader = last.get(minor)
+                if reader is None:
                     break
-                shift, terms = sub
+                shift, terms = done.pop(minor) if reader == free else done[minor]
                 shift += step[bit.bit_length() - 1]
                 if held is None:  # the first term is positive and shares its terms
                     held = shift, terms
@@ -399,10 +403,9 @@ def h_expansion(shape: SkewShape) -> dict[int, int]:
             if acc and 0 in acc.values():  # drop cancelled keys in place
                 for k in [k for k, c in acc.items() if not c]:
                     del acc[k]
-            if held and held[1]:
-                level[free] = held
+            level[free] = held
         done = level
-    shift, terms = done.get(full, (0, {}))
+    shift, terms = done[full]
     return {k + shift: c for k, c in terms.items()} if shift else terms
 
 

@@ -336,6 +336,23 @@ class TestHExpansion:
     def test_h_product(self):
         prod = h_expansion(direct_sum((shp("1,1"), shp("1"))))
         assert h_dict(prod) == {(1, 1, 1): 1, (2, 1): -1}
+        # s_{A+B} = s_A s_B: a direct sum's image is the product of its
+        # pieces' images, multiplied by adding keys, for every ordered pair of
+        # connected pieces of at most 8 cells in all and every ordered triple
+        # of at most 9, where a northeast block's rows meet southwest columns
+        pieces = [s for n in range(1, 8) for s in connected_shapes(n)]
+        images = {s: h_expansion(s) for s in pieces}
+        pairs = [(a, b) for a in pieces for b in pieces if a.size + b.size <= 8]
+        triples = [(a, b, c) for a, b in pairs for c in pieces if a.size + b.size + c.size <= 9]
+        for case in pairs + triples:
+            expected = {0: 1}
+            for piece in case:
+                terms = {}
+                for k, c in expected.items():
+                    for x, d in images[piece].items():
+                        terms[k + x] = terms.get(k + x, 0) + c * d
+                expected = {k: c for k, c in terms.items() if c}
+            assert h_expansion(direct_sum(case)) == expected, case
 
     def test_matches_reference_kernel(self):
         # the row levels give the recursive kernel's images, key order included,
