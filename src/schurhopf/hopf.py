@@ -19,6 +19,7 @@ from .shapes import (
     direct_sum,
     format_shape,
     half_turn,
+    integers,
     is_connected,
     rotate180,
     skew_from_cells,
@@ -125,6 +126,7 @@ def removable_ribbons(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    (n,) = integers((n,))  # a ShapeError, not no ribbons, for 2.5 or "2"
     if n < 1:
         raise ValueError("ribbon size must be positive")
     if shape.size < n:

@@ -115,8 +115,7 @@ class Record:
     def __init__(self, *args, **kwargs):
         names = self._fields
         values = dict(zip(names, args), **kwargs)
-        if (len(args) > len(names) or values.keys() != self._names
-                or not kwargs.keys().isdisjoint(names[: len(args)])):
+        if len(values) != len(args) + len(kwargs) or values.keys() != self._names:
             raise TypeError(f"{type(self).__name__} takes each of the fields {names} once")
         self.__dict__.update(values)
 

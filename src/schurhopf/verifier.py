@@ -1,7 +1,8 @@
 """Executable verification of the main identities and their proof machinery.
 
-Each basis of connected ribbon Schur functions stores an integer inverse
-over one common denominator D, so every solve is integer arithmetic.  The
+Each basis of connected ribbon Schur functions comes from one fraction-free
+elimination as an integer inverse over one common denominator D, so every
+solve, and the whole proof trace, is integer arithmetic.  The
 proof trace rebuilds the two column-sum matrices (scaled by D) from the
 coproduct of s composed with gamma, expands each row's partner classes
 into the h-basis once, takes each column sum as the row coefficients
@@ -11,7 +12,7 @@ applied to those images, and checks every equality the argument relies on.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from . import hopf, schur, wow
 from .shapes import (
@@ -70,14 +71,14 @@ class RibbonBasis(Record):
 def ribbon_basis(n: int, required: tuple[Composition, ...] = ()) -> RibbonBasis:
     """Deterministic ribbon basis: required seeds, then lexicographic scan.
 
-    One Gauss-Jordan pass over [V | I], where column j of V is the j-th
-    candidate's expansion vector, computed when the scan reaches it.  The
-    pivot columns are the basis, and the identity half ends as the inverse
-    of the transposed basis matrix.  Raises DependentRequiredError when the
-    seeds are already dependent; callers fall back on the scalar-multiple
-    lemma in that case.
+    One fraction-free Gauss-Jordan pass over [V | I] (Bareiss), where
+    column j of V is the j-th candidate's expansion vector, computed when
+    the scan reaches it.  The pivot columns are the basis, and the
+    identity half ends as d times the inverse of the transposed basis
+    matrix, d the last pivot: every step divides exactly by the one
+    before it.  Raises DependentRequiredError when the seeds are already
+    dependent; callers fall back on the scalar-multiple lemma in that case.
     """
-    from fractions import Fraction  # here, so only a proof trace loads fractions
     if n < 1:
         raise VerifierError("degree must be positive")
     order = tuple(sorted(partitions_of(n), reverse=True))
@@ -86,7 +87,8 @@ def ribbon_basis(n: int, required: tuple[Composition, ...] = ()) -> RibbonBasis:
     scan = seeds + tuple(c for c in schur.connected_ribbons_of_size(n) if c not in seeds)
     chosen: list[Composition] = []
     matrix: list[tuple[int, ...]] = []
-    inverse = [[Fraction(int(i == j)) for j in range(p)] for i in range(p)]
+    inverse = [[int(i == j) for j in range(p)] for i in range(p)]  # d times the inverse
+    d = 1
     for i, comp in enumerate(scan):
         k = len(chosen)
         if k == p and i >= len(seeds):
@@ -101,22 +103,18 @@ def ribbon_basis(n: int, required: tuple[Composition, ...] = ()) -> RibbonBasis:
             continue
         inverse[k], inverse[piv] = inverse[piv], inverse[k]
         col[k], col[piv] = col[piv], col[k]
-        inverse[k] = pivot_row = [x / col[k] for x in inverse[k]]
+        pivot_row = inverse[k]
         for r, row in enumerate(inverse):
-            if r != k and col[r]:
-                inverse[r] = [a - col[r] * b for a, b in zip(row, pivot_row)]
+            if r != k:
+                inverse[r] = [(col[k] * a - col[r] * b) // d for a, b in zip(row, pivot_row)]
+        d = col[k]
         chosen.append(comp)
         matrix.append(vec)
     if len(chosen) != p:
         raise VerifierError("ribbons failed to span; this should be impossible")
-    solver, denominator = _scale_to_integers(inverse)
-    return RibbonBasis(n, tuple(chosen), order, tuple(matrix), solver, denominator)
-
-
-def _scale_to_integers(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(A, D) with D > 0 the lcm of the denominators and A / D equal to rows."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
+    sign = 1 if d > 0 else -1
+    solver = tuple(tuple(sign * x for x in row) for row in inverse)
+    return RibbonBasis(n, tuple(chosen), order, tuple(matrix), solver, sign * d)
 
 
 def _solve_in_basis(basis: RibbonBasis, coeffs: dict[Partition, int]) -> tuple[int, ...]:
@@ -416,53 +414,7 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     degenerate = 1 in (len(s_parts), s_parts[0])
     s_shape, frames = wow.compose_layout(SkewShape(s_parts), structure)
 
-    # ---- slice the coproduct at the key size ---------------------------
-    def slice_side(key_on_left: bool):
-        """Matrix rows and direct terms of the tensor side holding the key-size factor.
-
-        A factor whose class is a connected ribbon, that is, a ribbon
-        removable on its side, becomes a direct term (ribbon, cells in s,
-        class of the other factor); any other factor adds one to its row,
-        indexed by its class and then by the other factor's class.
-        """
-        rows: dict = {}
-        direct = []
-        lam, mu = s_shape.outer, s_shape.padded_inner
-        size = n if key_on_left else s_shape.size - n
-        for eta, left, right in hopf.coproduct_slice(s_shape, size):
-            cls, other = (left, right) if key_on_left else (right, left)
-            if is_connected(cls) and is_ribbon(cls):
-                cells = frozenset(row_cells(eta, mu) if key_on_left else row_cells(lam, eta))
-                direct.append((ribbon_composition_of(cls), cells, other))
-            else:
-                partners = rows.setdefault(cls, {})
-                partners[other] = partners.get(other, 0) + 1
-        return rows, direct
-
-    r_rows, direct_left = slice_side(True)
-    l_rows, direct_right = slice_side(False)
-
-    def one_key(direct, alpha, footprint, alpha_cell, other) -> bool:
-        """One direct term: alpha on the key footprint of alpha_cell's gamma copy.
-
-        Outside the degenerate case its partner is the class of other.
-        """
-        if len(direct) != 1:
-            return False
-        comp, cells, partner = direct[0]
-        return (
-            comp == alpha
-            and cells == translate_cells(footprint, frames[alpha_cell])
-            and (degenerate or partner == hopf.shape_class(other))
-        )
-
-    corner = (len(s_parts) - 1, s_parts[-1] - 1)
-    one_key_left_ok = one_key(direct_left, alpha1, keys.top_footprint, (0, 0), rhs_shape)
-    one_key_right_ok = one_key(direct_right, alpha2, keys.bottom_footprint, corner, lhs_shape)
-    extra_left = tuple((c, cells) for c, cells, _ in direct_left if c != alpha1)
-    extra_right = tuple((c, cells) for c, cells, _ in direct_right if c != alpha2)
-
-    # ---- basis and coefficient vectors ---------------------------------
+    # ---- basis and coefficient vectors: they read only the key ribbons ----
     modified = False
     try:
         basis = ribbon_basis(n, (alpha1, alpha2))
@@ -477,33 +429,55 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     v = parity_vector(basis)
     i1 = basis.ribbons.index(alpha1)
     columns: list = list(basis.ribbons)
+    vprime = list(v)  # v with the delta column's weight 0
     if modified:
         i2 = basis.ribbons.index(alpha2)
         columns[i2] = ("delta", alpha2, alpha1)
+        vprime[i2] = 0
 
     def vector_for(cls) -> list[int]:
-        coeffs = schur.schur_expand(cls).as_dict()
-        vec = list(_solve_in_basis(basis, coeffs))
+        vec = list(_scaled_vector(cls, basis))
         if modified:
             vec[i1] += vec[i2]
         return vec
 
-    vprime = list(v)
-    if modified:
-        vprime[i2] = 0
     signed_sum_rows_ok = True
 
-    def column_sums(rows) -> dict:
-        """h-image of each column sum, scaled by D.
+    # ---- one tensor side of the coproduct, sliced at the key size --------
+    def tensor_side(key_on_left: bool, alpha, footprint, alpha_cell, other):
+        """(direct terms, one-key verdict, column sums) of the side holding the key-size factor.
 
-        Column j sums vec_lam[j] times the image of row lam's partners, so
-        each row's partners are expanded once, whatever columns it meets,
-        and the image is added into those columns and dropped at once.
+        A factor whose class is a connected ribbon, that is, a ribbon
+        removable on its side, becomes a direct term (ribbon, cells in s,
+        class of the other factor); any other factor adds one to its row,
+        indexed by its class and then by the other factor's class.  The
+        one-key check asks for a single direct term: alpha on the key
+        footprint of alpha_cell's gamma copy, whose partner outside the
+        degenerate case is the class of other.  Column j sums vec_cls[j]
+        times the h-image of row cls's partners, scaled by D, so each
+        row's partners are expanded once, whatever columns it meets.
         """
         nonlocal signed_sum_rows_ok
+        rows: dict = {}
+        direct = []
+        lam, mu = s_shape.outer, s_shape.padded_inner
+        size = n if key_on_left else s_shape.size - n
+        for eta, left, right in hopf.coproduct_slice(s_shape, size):
+            cls, partner = (left, right) if key_on_left else (right, left)
+            if is_connected(cls) and is_ribbon(cls):
+                cells = frozenset(row_cells(eta, mu) if key_on_left else row_cells(lam, eta))
+                direct.append((ribbon_composition_of(cls), cells, partner))
+            else:
+                partners = rows.setdefault(cls, {})
+                partners[partner] = partners.get(partner, 0) + 1
+        one_key_ok = len(direct) == 1 and (
+            direct[0][0] == alpha
+            and direct[0][1] == translate_cells(footprint, frames[alpha_cell])
+            and (degenerate or direct[0][2] == hopf.shape_class(other))
+        )
         totals = {lab: {} for lab in columns}
-        for lam, partners in rows.items():
-            vec = vector_for(lam)
+        for cls, partners in rows.items():
+            vec = vector_for(cls)
             if sum(a * b for a, b in zip(vprime, vec)) != 0:
                 signed_sum_rows_ok = False
             image = hopf.combo_to_h(partners)
@@ -512,11 +486,20 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
                     get = total.get
                     for k, c in image.items():
                         total[k] = get(k, 0) + w * c
-        return {lab: {k: c for k, c in total.items() if c} for lab, total in totals.items()}
+        sums = {lab: {k: c for k, c in total.items() if c} for lab, total in totals.items()}
+        return tuple(direct), one_key_ok, sums
+
+    corner = (len(s_parts) - 1, s_parts[-1] - 1)
+    direct_left, one_key_left_ok, h_right = tensor_side(
+        True, alpha1, keys.top_footprint, (0, 0), rhs_shape
+    )
+    direct_right, one_key_right_ok, h_left = tensor_side(
+        False, alpha2, keys.bottom_footprint, corner, lhs_shape
+    )
+    extra_left = tuple((c, cells) for c, cells, _ in direct_left if c != alpha1)
+    extra_right = tuple((c, cells) for c, cells, _ in direct_right if c != alpha2)
 
     # ---- the assertions, all on the h-images of the column sums ----------
-    h_right = column_sums(r_rows)
-    h_left = column_sums(l_rows)
     key_labels = {columns[i1]}
     if modified:
         key_labels.add(columns[i2])
@@ -568,8 +551,8 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
         signed_column_ok=signed_column_ok,
         balance_ok=balance_ok,
         key_column_equal=key_column_equal,
-        direct_left=tuple(direct_left),
-        direct_right=tuple(direct_right),
+        direct_left=direct_left,
+        direct_right=direct_right,
         extra_left=extra_left,
         extra_right=extra_right,
     )

@@ -23,6 +23,7 @@ from schurhopf.hopf import (
 from schurhopf.schur import schur_expand
 from schurhopf.shapes import (
     EMPTY_SHAPE,
+    ShapeError,
     SkewShape,
     box_bounded_shapes,
     connected_components,
@@ -200,6 +201,9 @@ class TestRemovableRibbons:
             removable_ribbons(shp("2,2"), 0, "left")
         with pytest.raises(ValueError):
             removable_ribbons(shp("2,2"), 1, "up")
+        for n in (2.5, "2"):  # read as integers, as ribbon_shape reads its parts
+            with pytest.raises(ShapeError):
+                removable_ribbons(shp("2"), n, "left")
 
 
 class TestAxioms:

@@ -130,7 +130,7 @@ def test_only_wow_builds_structures(path):
 
 
 # dataclasses pulls in inspect (and ast, dis, tokenize), fractions pulls in
-# decimal; a cold CLI call needs none of them, and only a proof trace needs fractions
+# decimal; a CLI call needs none of them, a proof trace included
 HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
 
 
@@ -169,9 +169,17 @@ def test_verify_json_loads_no_fractions():
 
 
 def test_probe_sees_fractions_in_a_proof_trace():
-    # the probe itself can see a lazily imported module
-    code = (
+    # a traced verify stays in integers, yet the probe sees fractions when a
+    # library caller asks for a coefficient vector, which returns Fractions
+    trace = (
         "from schurhopf import cli\n"
-        "cli.main(['verify', '--beta', '2,1', '--gamma', '4,4,2,2/2,1', '--trace', '--json'])"
+        "argv = ['verify', '--beta', '2,1', '--gamma', '4,4,2,2/2,1', '--trace', '--json']\n"
+        "assert cli.main(argv) == 0"
     )
-    assert "fractions" in _heavy_loaded_by(code)
+    assert _heavy_loaded_by(trace) == []
+    vector = (
+        "from schurhopf.shapes import SkewShape\n"
+        "from schurhopf.verifier import coefficient_vector, ribbon_basis\n"
+        "coefficient_vector(SkewShape((2, 2)), ribbon_basis(4))"
+    )
+    assert "fractions" in _heavy_loaded_by(vector)

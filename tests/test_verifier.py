@@ -175,6 +175,36 @@ class TestIntegerSolver:
                 assert got == _fraction_solve(basis, unit), (basis.ribbons, p)
 
 
+class TestFractionFreeElimination:
+    def test_exact_division_past_a_unit_denominator(self, monkeypatch):
+        # real ribbon bases have D == 1; scaling each expansion by its row
+        # count + 1 makes D large, so every `// d` and the final sign flip run
+        real = schur.schur_expand
+
+        def scaled(shape):
+            f = real(shape)
+            return schur.SymFunc.from_dict(f.degree, {p: (len(shape.outer) + 1) * c
+                                                      for p, c in f.as_dict().items()})
+
+        monkeypatch.setattr(verifier.schur, "schur_expand", scaled)
+        bases = []
+        for n in range(1, 7):
+            comps = connected_ribbons_of_size(n)
+            for seeds in [()] + [(c,) for c in comps] + list(combinations(comps, 2)):
+                try:
+                    bases.append(ribbon_basis(n, seeds))
+                except DependentRequiredError:
+                    pass
+        assert max(basis.denominator for basis in bases) > 1
+        for basis in bases:
+            assert basis.denominator > 0
+            for p in basis.partitions:
+                unit = {p: 1}
+                scaled_solve = verifier._solve_in_basis(basis, unit)
+                got = tuple(Fraction(x, basis.denominator) for x in scaled_solve)
+                assert got == _fraction_solve(basis, unit), (basis.ribbons, p)
+
+
 class TestCoefficientVector:
     def test_basis_ribbon_is_unit_vector(self):
         basis = ribbon_basis(4)
@@ -395,13 +425,15 @@ class TestIntegerTrace:
     def test_denominator_above_one_renders_the_same(self, monkeypatch, positive_structure):
         # every small basis has D == 1; double A and D to run the general path
         expected = proof_trace((2, 1), positive_structure).to_json()
-        real = verifier._scale_to_integers
+        real = verifier.ribbon_basis
 
-        def doubled(rows):
-            solver, d = real(rows)
-            return tuple(tuple(2 * x for x in row) for row in solver), 2 * d
+        def doubled(n, required=()):
+            b = real(n, required)
+            solver = tuple(tuple(2 * x for x in row) for row in b.solver)
+            return verifier.RibbonBasis(b.degree, b.ribbons, b.partitions, b.matrix, solver,
+                                        2 * b.denominator)
 
-        monkeypatch.setattr(verifier, "_scale_to_integers", doubled)
+        monkeypatch.setattr(verifier, "ribbon_basis", doubled)
         trace = proof_trace((2, 1), positive_structure)
         assert trace.denominator == 2
         assert trace.cocommutativity_assertions_hold() and trace.signed_column_ok
