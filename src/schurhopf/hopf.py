@@ -70,6 +70,7 @@ def coproduct_slice(shape: SkewShape, left_size: int) -> list:
             eta[i] = value
             yield from rec(i + 1, value, taken + value - mu[i])
 
+    (left_size,) = integers((left_size,))  # a ShapeError, not a TypeError, for 2.5 or "2"
     if not 0 <= left_size <= shape.size:
         return []
     return list(rec(0, lam[0] if lam else 0, 0))

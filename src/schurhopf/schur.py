@@ -231,6 +231,7 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
 
 def connected_ribbons_of_size(n: int) -> list[Composition]:
     """All 2^(n-1) compositions of n in lexicographic order."""
+    (n,) = integers((n,), SymFuncError)
     if n < 1:
         raise SymFuncError("ribbon size must be positive")
 

@@ -22,6 +22,7 @@ from .shapes import (
     SkewShape,
     check_partition,
     format_shape,
+    integers,
     is_connected,
     is_ribbon,
     partitions_of,
@@ -79,6 +80,7 @@ def ribbon_basis(n: int, required: tuple[Composition, ...] = ()) -> RibbonBasis:
     before it.  Raises DependentRequiredError when the seeds are already
     dependent; callers fall back on the scalar-multiple lemma in that case.
     """
+    (n,) = integers((n,), VerifierError)
     if n < 1:
         raise VerifierError("degree must be positive")
     order = tuple(sorted(partitions_of(n), reverse=True))
@@ -150,6 +152,7 @@ def check_signed_sum(shape: SkewShape, basis: RibbonBasis) -> bool:
 
 def check_scalar_multiple_lemma(n: int) -> bool:
     """Proportional same-row-count connected ribbon Schur functions are equal."""
+    (n,) = integers((n,), VerifierError)
     comps = schur.connected_ribbons_of_size(n)
     expansions = {c: schur.schur_expand(ribbon_shape(c)).as_dict() for c in comps}
     for i, a in enumerate(comps):
@@ -403,7 +406,9 @@ def proof_trace(beta: Partition, structure: wow.WowStructure, strict: bool = Tru
     factors to the direct terms and everything else into the matrices,
     and checks the column equalities and the key-column balance.  It
     holds the report of verify_main_theorem whose two sides it traces,
-    and reads beta as that report normalized it.
+    and reads beta as that report normalized it.  s must be a rectangle:
+    the one-key checks read (s/(1)) o gamma and (s minus its corner) o
+    gamma as beta* o gamma and beta o gamma, so s must be its own half-turn.
     """
     report = verify_main_theorem(beta, structure, strict)
     lhs_shape, rhs_shape = report.lhs_shape, report.rhs_shape  # beta o gamma, beta* o gamma

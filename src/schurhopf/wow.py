@@ -160,23 +160,18 @@ def _delta_span(cells) -> tuple[int, int]:
     return min(deltas), max(deltas)
 
 
-def _index(placements):
-    """Placements grouped by canonical cells, each with its diagonal span."""
-    by_shape: dict[frozenset, list] = {}
-    for placed in placements:
-        by_shape.setdefault(canonicalize_cells(placed), []).append((placed, _delta_span(placed)))
-    return by_shape
-
-
 def detect_wow(gamma: SkewShape) -> list[WowStructure]:
     """All valid structures on gamma, largest W first.
 
     Tops t are the connected skew sub-shapes of at most (|gamma| - 1) // 2
     cells that hold gamma's NE box and leave a connected skew shape (two
-    copies with a diagonal of gamma between them never hold more); bottoms
-    b are the half-turns of the rotated gamma's tops.  A t and b of one
-    shape, on diagonals from t0 and up to b1 <= t0 - 2, need only an
-    orientation's adjacency, as proved below.  Here diagonal(r, c) = c - r,
+    copies with a diagonal of gamma between them never hold more).  A
+    translate b of t holding gamma's SW box z has z as its own SW box (b
+    has a cell in z's column, gamma none left of it, and b's cells there
+    lie in gamma's, none below z), so b is t moved by z - sw_box(t).  If b
+    lies in gamma and leaves a connected skew shape, a t and b on
+    diagonals from t0 and up to b1 <= t0 - 2 need only an orientation's
+    adjacency, as proved below.  Here diagonal(r, c) = c - r,
     and the product order x <= y runs NW to SE along a diagonal.
 
     Lemma 1: O is a nonempty connected skew shape.  A finite cell set is
@@ -215,21 +210,18 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
         return []
     if not is_connected(gamma):
         raise DisconnectedError("gamma must be connected")
-    cells = gamma.cells
-    tops = _index(_top_placements(gamma))
-    bottoms = _index(half_turn(p, gamma) for p in _top_placements(rotate180(gamma)))
+    cells, ne, zr = gamma.cells, gamma.outer[0] - 1, len(gamma.outer) - 1  # NE box on diagonal ne; z = (zr, 0)
     out = []
-    for key in tops.keys() & bottoms.keys():
-        for t, t_span in tops[key]:
-            for b, b_span in bottoms[key]:
-                if t_span[0] - b_span[1] >= 2:
-                    o = cells - t - b
-                    for x in (RR, UU):
-                        if _adjacency_holds(o, t, b, x):
-                            out.append(WowStructure(gamma, x, t, b))
-    out.sort(
-        key=lambda s: (-len(s.upper_w), s.orientation, sorted(s.upper_w), sorted(s.lower_w))
-    )
+    for t in _top_placements(gamma):
+        sr, sc = sw_box(t)  # t's diagonals run over [sc - sr, ne], b's up to ne - (sc - sr) - zr
+        if 2 * (sc - sr) + zr - ne >= 2:
+            b = translate_cells(t, (zr - sr, -sc))
+            if b <= cells and is_connected_skew(cells - b):
+                o = cells - t - b
+                for x in (RR, UU):
+                    if _adjacency_holds(o, t, b, x):
+                        out.append(WowStructure(gamma, x, t, b))
+    out.sort(key=lambda s: (-len(s.upper_w), s.orientation, sorted(s.upper_w), sorted(s.lower_w)))
     return out
 
 

@@ -66,6 +66,21 @@ class TestRibbonBasis:
             assert row == tuple(expansion.get(p, 0) for p in basis.partitions)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda n: hopf.coproduct_slice(shp("3,2"), n), ShapeError),
+    (connected_ribbons_of_size, schur.SymFuncError),
+    (ribbon_basis, verifier.VerifierError),
+    (check_scalar_multiple_lemma, verifier.VerifierError),
+], ids=["coproduct_slice", "connected_ribbons_of_size", "ribbon_basis", "scalar_multiple_lemma"])
+@pytest.mark.parametrize("size", [2.5, "2"])
+def test_non_integer_size_is_refused(call, error, size):
+    # read through shapes.integers, as removable_ribbons reads its size: each
+    # module's own ValueError, not a TypeError from a comparison or range
+    assert issubclass(error, ValueError)
+    with pytest.raises(error):
+        call(size)
+
+
 def _fraction_solve(basis, coeffs):
     """Reference: Gauss-Jordan in Fractions on the augmented transposed matrix."""
     p = len(basis.partitions)
@@ -526,3 +541,25 @@ class TestBetasOutsideTheTheorem:
                 loose_equal += 1
                 assert report.rhs_shape in (report.lhs_shape, rotate180(report.lhs_shape)), st
         assert (structures, loose, loose_equal) == counts
+
+    @pytest.mark.parametrize("beta, s_parts, one_key_and_balance", [
+        ((3, 1), (3, 2), False),
+        ((2, 1, 1), (2, 2, 1), False),
+        ((2, 1), (2, 2), True),
+    ], ids=["3,1", "2,1,1", "2,1-control"])
+    def test_trace_with_a_one_box_filling(self, monkeypatch, beta, s_parts, one_key_and_balance):
+        # with s a one-box filling of beta that is no rectangle, s o gamma's
+        # cocommutativity still gives the column equalities, the signed sums
+        # and the key column, but the one-key checks and the balance fail:
+        # they need s to be its own half-turn
+        from schurhopf.shapes import SkewShape
+        from schurhopf.wow import compose, detect_wow
+
+        monkeypatch.setattr(verifier, "filled_rectangle", lambda beta, orientation: s_parts)
+        st = detect_wow(shp("4,4,2,2/2,1"))[0]
+        tr = proof_trace(beta, st, strict=False)
+        assert tr.s_shape == compose(SkewShape(s_parts), st)
+        assert tr.all_column_equalities_hold()
+        assert tr.signed_sum_rows_ok and tr.signed_column_ok and tr.key_column_equal
+        assert tr.one_key_left_ok == tr.one_key_right_ok == tr.balance_ok == one_key_and_balance
+        assert len(tr.direct_right) == (1 if one_key_and_balance else 2)

@@ -2,6 +2,8 @@ import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from test_properties import PROPERTY, shapes
 
 from schurhopf import wow
 from schurhopf.shapes import (
@@ -12,6 +14,7 @@ from schurhopf.shapes import (
     conjugate,
     connected_shapes,
     format_shape,
+    half_turn,
     is_connected,
     is_connected_skew,
     ne_box,
@@ -369,6 +372,51 @@ class TestAgainstSubsetWalk:
     def test_fat_gamma_has_none(self, text):
         # the subset walk takes more than a minute on the 6x6 square
         assert detect_wow(shp(text)) == []
+
+
+def _two_walk_detect(gamma):
+    """Reference: bottoms walked as the half-turned tops of rotate180(gamma), paired by shape."""
+    cells = gamma.cells
+
+    def by_shape(placements):
+        out = {}
+        for placed in placements:
+            out.setdefault(canonicalize_cells(placed), []).append(placed)
+        return out
+
+    tops = by_shape(wow._top_placements(gamma))
+    bottoms = by_shape(half_turn(p, gamma) for p in wow._top_placements(rotate180(gamma)))
+    out = []
+    for key in tops.keys() & bottoms.keys():
+        for t in tops[key]:
+            for b in bottoms[key]:
+                if min(map(_row_minus_col, b)) - max(map(_row_minus_col, t)) >= 2:
+                    o = cells - t - b
+                    for orientation in (RR, UU):
+                        if wow._adjacency_holds(o, t, b, orientation):
+                            out.append(WowStructure(gamma, orientation, t, b))
+    out.sort(
+        key=lambda s: (-len(s.upper_w), s.orientation, sorted(s.upper_w), sorted(s.lower_w))
+    )
+    return out
+
+
+class TestOneBottomPerTop:
+    """detect_wow moves each top onto gamma's SW box instead of walking the bottoms too."""
+
+    def test_every_connected_gamma_of_11_cells(self):
+        gammas = list(connected_shapes(11))
+        structures = 0
+        for gamma in gammas:
+            found = detect_wow(gamma)
+            assert found == _two_walk_detect(gamma), format_shape(gamma)
+            structures += len(found)
+        assert (len(gammas), structures) == (2964, 2336)
+
+    @settings(PROPERTY, max_examples=400)
+    @given(shapes(max_cells=24).filter(lambda g: g.size and is_connected(g)))
+    def test_sampled_gammas(self, gamma):
+        assert detect_wow(gamma) == _two_walk_detect(gamma), format_shape(gamma)
 
 
 def _reference_placements(w, a, target):
