@@ -40,21 +40,34 @@ def _emit(payload, as_json: bool, text_lines):
 
 
 def _write_json(payload):
-    """Write json.dumps(payload, sort_keys=True) and a newline to stdout, piece by piece.
+    """Write json.dumps(payload, sort_keys=True) and a newline to stdout, in chunks.
 
-    No whole text is built: stdout's buffer gathers the pieces into writes.
+    No whole text is built.  Pieces are joined into writes below 64 KiB, as
+    stdout may pass each write straight to the system (PYTHONUNBUFFERED); a
+    larger piece, such as a big h-basis side, is written alone and uncopied.
     """
+    chunk, size = [], 0
     for piece in _json_pieces(payload):
-        sys.stdout.write(piece)
-    sys.stdout.write("\n")
+        if chunk and size + len(piece) >= 1 << 16:
+            sys.stdout.write(chunk[0] if len(chunk) == 1 else "".join(chunk))
+            chunk, size = [], 0
+        chunk.append(piece)
+        size += len(piece)
+    chunk.append("\n")
+    sys.stdout.write("".join(chunk))
 
 
 def _json_pieces(value):
     """The text of json.dumps(value, sort_keys=True), in pieces.
 
-    Dict keys are str; a schur.JsonText is copied as it is.
+    Dict keys are str; a schur.JsonText is copied as it is.  A dict of
+    plain values and lists of them, such as a search row, is one piece.
     """
     if isinstance(value, dict):
+        if all(type(v) in _PLAIN or type(v) is list and all(type(x) in _PLAIN for x in v)
+               for v in value.values()):
+            yield json.dumps(value, sort_keys=True)
+            return
         sep = "{"
         for key in sorted(value):
             yield sep + _json_str(key) + ": "
@@ -81,6 +94,7 @@ def _json_pieces(value):
 
 
 _JSON_LITERAL = {None: "null", False: "false", True: "true"}
+_PLAIN = {str, int, bool, type(None)}  # exact types: a JsonText is a str subclass
 
 
 def _monomial_text(exponents, coeff) -> str:

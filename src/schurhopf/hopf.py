@@ -15,13 +15,12 @@ from . import schur
 from .shapes import (
     Composition,
     SkewShape,
+    component_pairs,
     connected_components,
-    direct_sum,
     format_shape,
-    half_turn,
     integers,
     is_connected,
-    rotate180,
+    pairs_sum,
     skew_from_cells,
 )
 
@@ -31,8 +30,9 @@ def shape_class(shape: SkewShape) -> SkewShape:
 
     Components of a direct sum share no row or column, so they are the
     pieces it was built from, and distinct multisets give distinct classes.
+    The components are read as pairs from lambda/mu, so one shape is built.
     """
-    return shape if is_connected(shape) else direct_sum(connected_components(shape))
+    return shape if is_connected(shape) else pairs_sum(component_pairs(shape))
 
 
 def class_of_cells(cells) -> SkewShape:
@@ -113,17 +113,35 @@ def take_out_right(shape: SkewShape, m: SkewShape) -> dict[SkewShape, int]:
 def removable_ribbons(
     shape: SkewShape, n: int, side: str
 ) -> list[tuple[Composition, frozenset]]:
-    """Connected ribbons of size n removable on one side, with positions.
+    """Connected ribbons of size n removable on one side, with positions."""
+    return ribbon_entries(ribbon_rows(shape, n, side))
 
-    side "left": the removed cells form eta/mu for some eta; side
-    "right": they form lambda/eta.  Distinct eta give distinct entries.
+
+def ribbon_entries(ribbons) -> list[tuple[Composition, frozenset]]:
+    """(composition, cells) of each ribbon given by its rows, ordered by sorted cells."""
+    out = [
+        (tuple(b - a + 1 for _, a, b in rows),
+         frozenset((q, c) for q, a, b in rows for c in range(a, b + 1)))
+        for rows in ribbons
+    ]
+    out.sort(key=lambda item: tuple(sorted(item[1])))
+    return out
+
+
+def ribbon_rows(shape: SkewShape, n: int, side: str):
+    """Rows of the connected ribbons of size n removable on one side.
+
+    Each ribbon is a list of (row, first column, last column), top row
+    first, in shape's frame.  side "left": the removed cells form eta/mu
+    for some eta; side "right": they form lambda/eta.  Distinct eta give
+    distinct ribbons.
 
     Read off lambda/mu: rows r0..r1 of a connected ribbon meet in exactly
     one column, so each row r > r0 of a left ribbon is [mu_r, mu_(r-1)]
     and needs mu_(r-1) < lambda_r, and the top row [mu_r0, mu_r0 + a)
     takes the remaining a cells and needs mu_r0 + a <= lambda_r0 and,
     below a row r0 - 1, mu_r0 + a <= mu_(r0-1).  The right ribbons are
-    the half-turns of the left ones of the rotated shape.
+    the half-turns of the left ones of the rotated pair.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -131,30 +149,23 @@ def removable_ribbons(
     if n < 1:
         raise ValueError("ribbon size must be positive")
     if shape.size < n:
-        return []
-    if side == "right":
-        out = [
-            (comp[::-1], half_turn(cells, shape))
-            for comp, cells in removable_ribbons(rotate180(shape), n, "left")
-        ]
-    else:
-        lam, mu = shape.outer, shape.padded_inner
-        out = []
-        for r1 in range(len(lam)):
-            r, a, spans = r1, n, []  # the rows below r, top first, as (row, end)
-            while True:
-                if mu[r] + a <= min(lam[r], mu[r - 1] if r else lam[r]):
-                    rows = [(r, mu[r] + a), *spans]
-                    comp = tuple(end - mu[q] for q, end in rows)
-                    cells = frozenset((q, c) for q, end in rows for c in range(mu[q], end))
-                    out.append((comp, cells))
-                if r == 0 or mu[r - 1] >= lam[r] or mu[r - 1] + 1 - mu[r] >= a:
-                    break
-                a -= mu[r - 1] + 1 - mu[r]
-                spans.insert(0, (r, mu[r - 1] + 1))
-                r -= 1
-    out.sort(key=lambda item: tuple(sorted(item[1])))
-    return out
+        return
+    lam, mu = shape.outer, shape.padded_inner
+    turn = side == "right"
+    if turn:  # the half-turn of the minimal pair, in half_turn's box; rows map back as they go
+        last, w = len(lam) - 1, lam[0] - 1
+        lam, mu = tuple(w + 1 - m for m in reversed(mu)), tuple(w + 1 - x for x in reversed(lam))
+    for r1 in range(len(lam)):
+        r, a, below = r1, n, []  # the rows below r, top first
+        while True:
+            if mu[r] + a <= lam[r] and (r == 0 or mu[r] + a <= mu[r - 1]):
+                rows = [(r, mu[r], mu[r] + a - 1), *below]
+                yield [(last - q, w - hi, w - lo) for q, lo, hi in reversed(rows)] if turn else rows
+            if r == 0 or mu[r - 1] >= lam[r] or mu[r - 1] + 1 - mu[r] >= a:
+                break
+            a -= mu[r - 1] + 1 - mu[r]
+            below.insert(0, (r, mu[r], mu[r - 1]))
+            r -= 1
 
 
 def _triple_expand(first_then: bool, terms: CoproductSum) -> dict:

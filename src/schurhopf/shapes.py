@@ -10,7 +10,7 @@ each other.  Rows grow downward and columns grow rightward, so
 from __future__ import annotations
 
 from functools import cached_property
-from operator import attrgetter, index
+from operator import attrgetter, ge, index, lt
 
 Cell = tuple[int, int]
 Partition = tuple[int, ...]
@@ -48,15 +48,14 @@ def check_partition(parts) -> Partition:
     __index__, so no float or str), and anything non-monotone or
     negative, is rejected.
     """
-    out = list(integers(parts))
+    out = integers(parts)
     while out and out[-1] == 0:
-        out.pop()
-    for a, b in zip(out, out[1:]):
-        if b > a:
-            raise ShapeError(f"parts not weakly decreasing: {tuple(out)}")
+        out = out[:-1]
+    if not all(map(ge, out, out[1:])):
+        raise ShapeError(f"parts not weakly decreasing: {out}")
     if out and out[-1] < 0:
         raise ShapeError(f"negative part {out[-1]!r}")
-    return tuple(out)
+    return out
 
 
 def partitions_of(n: int, max_part: int | None = None):
@@ -114,6 +113,9 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         names = self._fields
+        if len(args) == len(names) and not kwargs:  # the common call, with no merged dict
+            self.__dict__.update(zip(names, args))
+            return
         values = dict(zip(names, args), **kwargs)
         if len(values) != len(args) + len(kwargs) or values.keys() != self._names:
             raise TypeError(f"{type(self).__name__} takes each of the fields {names} once")
@@ -153,6 +155,10 @@ class SkewShape(Record):
         inner = check_partition(inner)
         if len(inner) > len(outer):
             raise ShapeError(f"inner has more rows than outer: {inner} > {outer}")
+        if len(inner) < len(outer) and all(map(lt, inner, outer)):
+            # no empty row, and the bottom one starts at column zero: already minimal
+            self.__dict__.update(outer=outer, inner=inner)
+            return
         # one walk up the rows checks inner against outer and builds the
         # minimal pair: empty rows below the bottom cell and above the top
         # cell go, the bottom row moves to column zero, and each empty row in
@@ -290,8 +296,13 @@ def half_turn(cells, shape: SkewShape) -> frozenset[Cell]:
 
 
 def conjugate(part: Partition) -> Partition:
-    """The partition of part's column lengths."""
-    return tuple(sum(p > j for p in part) for j in range(part[0] if part else 0))
+    """The partition of part's column lengths: column j counts the parts above j."""
+    out, i = [], len(part)
+    for j in range(part[0] if part else 0):
+        while part[i - 1] <= j:
+            i -= 1
+        out.append(i)
+    return tuple(out)
 
 
 def transpose(shape: SkewShape) -> SkewShape:
@@ -324,22 +335,31 @@ def components_of_cells(cells) -> list[frozenset[Cell]]:
     return out
 
 
-def connected_components(shape: SkewShape) -> tuple[SkewShape, ...]:
-    """Connected components as canonical shapes, in shape_sort_key order.
+def component_pairs(shape: SkewShape) -> list:
+    """Minimal pair (outer, padded inner) of each connected component, in shape_sort_key order.
 
     Rows i - 1 and i touch exactly when mu_(i-1) < lambda_i, so each
     component is a block of rows between cuts; a minimal pair's empty row
     is cut on both sides.  As lam >= mu part by part, lam[a:b] > mu[a:b]
-    fails only on such an empty block, which is skipped before any shape
-    is built.
+    fails only on such an empty block, which is skipped.  A block's least
+    column is its bottom row's mu, so subtracting it gives the minimal pair.
 
     hopf.shape_class relies on this order: a class is the direct sum of
-    these components, so the order makes that shape canonical.
+    the components, so the order makes that shape canonical.
     """
     lam, mu = shape.outer, shape.padded_inner
     cuts = [0, *(i for i in range(1, len(lam)) if mu[i - 1] >= lam[i]), len(lam)]
-    blocks = [SkewShape(lam[a:b], mu[a:b]) for a, b in zip(cuts, cuts[1:]) if lam[a:b] > mu[a:b]]
-    return tuple(sorted(blocks, key=shape_sort_key))
+    pairs = [
+        (tuple(x - mu[b - 1] for x in lam[a:b]), tuple(x - mu[b - 1] for x in mu[a:b]))
+        for a, b in zip(cuts, cuts[1:])
+        if lam[a:b] > mu[a:b]
+    ]
+    return sorted(pairs, key=lambda p: (sum(p[0]) - sum(p[1]), tuple(row_cells(*p))))
+
+
+def connected_components(shape: SkewShape) -> tuple[SkewShape, ...]:
+    """Connected components as canonical shapes, in shape_sort_key order."""
+    return tuple(SkewShape(*pair) for pair in component_pairs(shape))
 
 
 def is_connected(shape: SkewShape) -> bool:
@@ -433,15 +453,19 @@ def direct_sum(shapes) -> SkewShape:
     the last, so the skew Schur function of the result is the product of
     the pieces' skew Schur functions.
     """
-    pieces = [s for s in shapes if s.outer]
-    col = sum(s.outer[0] for s in pieces)
-    outer: list[int] = []
-    inner: list[int] = []
-    for s in pieces:
-        col -= s.outer[0]
-        outer += [lam + col for lam in s.outer]
-        inner += [m + col for m in s.padded_inner]
-    return SkewShape(tuple(outer), tuple(inner))
+    return pairs_sum((s.outer, s.padded_inner) for s in shapes)
+
+
+def pairs_sum(pairs) -> SkewShape:
+    """direct_sum of shapes given as pairs (outer, padded inner); one SkewShape is built."""
+    pieces = [(outer, inner) for outer, inner in pairs if outer]
+    col = sum(outer[0] for outer, _ in pieces)
+    lams, mus = [], []
+    for outer, inner in pieces:
+        col -= outer[0]
+        lams += [lam + col for lam in outer]
+        mus += [m + col for m in inner]
+    return SkewShape(tuple(lams), tuple(mus))
 
 
 def parse_partition(text: str) -> Partition:

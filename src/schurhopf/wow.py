@@ -22,6 +22,7 @@ from .shapes import (
     DisconnectedError,
     NotSkewError,
     Record,
+    ShapeError,
     SkewShape,
     canonicalize_cells,
     connected_shapes,
@@ -29,11 +30,8 @@ from .shapes import (
     format_shape,
     half_turn,
     is_connected,
-    is_connected_skew,
     ne_box,
-    rim_ribbon,
     rotate180,
-    ribbon_composition_of,
     shape_sort_key,
     skew_from_cells,
     sw_box,
@@ -113,51 +111,108 @@ class WowStructure(Record):
         return f"WowStructure({self.describe()!r})"
 
 
-def _adjacency_holds(o_cells, upper_w, lower_w, orientation) -> bool:
-    r1, c1 = sw_box(o_cells)
-    r2, c2 = ne_box(o_cells)
-    if orientation == RR:
-        return (r1, c1 - 1) in lower_w and (r2, c2 + 1) in upper_w
-    return (r1 + 1, c1) in lower_w and (r2 - 1, c2) in upper_w
+def _adjacency_cells(sw: Cell, ne: Cell, orientation: str) -> tuple[Cell, Cell]:
+    """The cells that O, with SW box sw and NE box ne, needs in the lower and the upper W."""
+    (r1, c1), (r2, c2) = sw, ne
+    return ((r1, c1 - 1), (r2, c2 + 1)) if orientation == RR else ((r1 + 1, c1), (r2 - 1, c2))
 
 
-def _top_placements(gamma: SkewShape):
-    """Connected skew sub-shapes of gamma holding its NE box, each once.
+def _rows(shape: SkewShape) -> list[tuple[int, int]]:
+    """shape's rows as inclusive column spans (lo, hi), top down; an emptied row reads lo > hi."""
+    return [(m, lam - 1) for m, lam in zip(shape.padded_inner, shape.outer)]
+
+
+def _cut(rows, top, spans):
+    """rows less the spans laid from row top down; None unless each lies in its row at an end."""
+    rows = rows[:]
+    for r, (l, h) in enumerate(spans, top):
+        lo, hi = rows[r]
+        if not (l == lo and h <= hi or h == hi and l >= lo):
+            return None
+        rows[r] = (h + 1, hi) if l == lo else (lo, l - 1)
+    return rows
+
+
+def _joins(above, row, closed: bool = False) -> bool:
+    """Whether a nonempty row may follow rows ending in above in a connected skew shape.
+
+    As shapes.is_connected_skew reads cells: the nonempty rows must be
+    consecutive (closed: an emptied row follows a nonempty one), each
+    starting and ending weakly right of the one below it and overlapping it.
+    """
+    return not closed and (above[0] > above[1] or row[0] <= above[0] <= row[1] <= above[1])
+
+
+def _boxes(rows) -> tuple[Cell, Cell] | None:
+    """SW and NE boxes of the nonempty shape with these rows; None unless it is connected skew."""
+    full = [r for r, (lo, hi) in enumerate(rows) if lo <= hi]
+    a, b = full[0], full[-1]
+    if b - a >= len(full) or not all(map(_joins, rows[a:b], rows[a + 1 : b + 1])):
+        return None
+    return (b, rows[b][0]), (a, rows[a][1])
+
+
+def _inside(rows, cell: Cell) -> bool:
+    r, c = cell
+    return 0 <= r < len(rows) and rows[r][0] <= c <= rows[r][1]
+
+
+def _cells(top, spans) -> frozenset[Cell]:
+    return frozenset((r, c) for r, (l, h) in enumerate(spans, top) for c in range(l, h + 1))
+
+
+def _spans(cells) -> tuple[int, list[tuple[int, int]]]:
+    """The top row and the row spans of a skew cell set."""
+    by_row: dict[int, list[int]] = {}
+    for r, c in cells:
+        by_row.setdefault(r, []).append(c)
+    top = min(by_row)
+    return top, [(min(by_row[r]), max(by_row[r])) for r in range(top, top + len(by_row))]
+
+
+def _with_w(structure: WowStructure, w: SkewShape) -> WowStructure:
+    """structure with its w_shape filled in, so that no cell set is read for it."""
+    vars(structure)["w_shape"] = w
+    return structure
+
+
+def _top_spans(gamma: SkewShape):
+    """Connected skew sub-shapes of gamma holding its NE box, each once, as row spans.
 
     A placement is a stack of row spans: row 0 is [lo, lambda_0 - 1] and
     each next row [l, h] lies in gamma's row with l <= lo <= h <= hi.  It
     has at most (|gamma| - 1) // 2 cells and is yielded when the rest of
-    gamma is a connected skew shape.  A row touching neither end of
-    gamma's row splits the rest's row in two, and every deeper placement
-    keeps that row, so its branch is cut.
+    gamma, read row by row off gamma's rows less the spans, is a connected
+    skew shape.  A row touching neither end of gamma's row splits the
+    rest's row in two, and every deeper placement keeps that row, so its
+    branch is cut; so is a row of the rest that cannot follow the last.
     """
-    cells = gamma.cells
+    rows = _rows(gamma)
     lam, mu = gamma.outer, gamma.padded_inner
     max_w = (gamma.size - 1) // 2
 
-    def rec(r, lo, hi, placed):
-        if is_connected_skew(cells - placed):
-            yield placed
+    def rec(r, lo, hi, spans, size, rest, closed):
+        # rest: gamma's row r less t's; closed as in _joins for the rows of
+        # gamma - t so far.  A row that cannot follow them cuts its branch.
+        if r + 1 == len(rows) or _joins(rest, rows[r + 1], closed):
+            yield spans
         r += 1
-        if r == len(lam):
+        if r == len(rows):
             return
         for h in range(lo, min(hi, lam[r] - 1) + 1):
             for l in range(lo, mu[r] - 1, -1):
-                if len(placed) + h - l + 1 > max_w:
+                if size + h - l + 1 > max_w:
                     break
                 if l == mu[r] or h == lam[r] - 1:
-                    row = frozenset((r, c) for c in range(l, h + 1))
-                    yield from rec(r, l, h, placed | row)
+                    row = (mu[r], l - 1) if h == lam[r] - 1 else (h + 1, lam[r] - 1)
+                    empty = row[0] > row[1]
+                    if empty or _joins(rest, row, closed):
+                        yield from rec(r, l, h, (*spans, (l, h)), size + h - l + 1, row,
+                                       empty and (closed or rest[0] <= rest[1]))
 
     hi = lam[0] - 1
     for lo in range(hi, max(mu[0], hi + 1 - max_w) - 1, -1):
-        yield from rec(0, lo, hi, frozenset((0, c) for c in range(lo, hi + 1)))
-
-
-def _delta_span(cells) -> tuple[int, int]:
-    """Least and greatest diagonal over a cell set."""
-    deltas = [diagonal(c) for c in cells]
-    return min(deltas), max(deltas)
+        yield from rec(0, lo, hi, ((lo, hi),), hi - lo + 1, (mu[0], lo - 1), False)
 
 
 def detect_wow(gamma: SkewShape) -> list[WowStructure]:
@@ -172,7 +227,12 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
     lies in gamma and leaves a connected skew shape, a t and b on
     diagonals from t0 and up to b1 <= t0 - 2 need only an orientation's
     adjacency, as proved below.  Here diagonal(r, c) = c - r,
-    and the product order x <= y runs NW to SE along a diagonal.
+    and the product order x <= y runs NW to SE along a diagonal.  O's SW
+    and NE boxes lie on diagonals o0 <= b1 + 1 and o1 >= t0 - 1 (Lemma 1),
+    so the cell that adjacency asks for beside the SW box, on o0 - 1 < t0,
+    is not in t, and the one beside the NE box, on o1 + 1 > b1, is not in
+    b; neither is in O.  So each lies in its W copy exactly when it lies in
+    gamma, which is how detection tests them.
 
     Lemma 1: O is a nonempty connected skew shape.  A finite cell set is
     skew iff convex in the product order, and then connected iff its
@@ -210,17 +270,20 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
         return []
     if not is_connected(gamma):
         raise DisconnectedError("gamma must be connected")
-    cells, ne, zr = gamma.cells, gamma.outer[0] - 1, len(gamma.outer) - 1  # NE box on diagonal ne; z = (zr, 0)
+    rows, ne, zr = _rows(gamma), gamma.outer[0] - 1, len(gamma.outer) - 1  # NE box on diagonal ne; z = (zr, 0)
     out = []
-    for t in _top_placements(gamma):
-        sr, sc = sw_box(t)  # t's diagonals run over [sc - sr, ne], b's up to ne - (sc - sr) - zr
-        if 2 * (sc - sr) + zr - ne >= 2:
-            b = translate_cells(t, (zr - sr, -sc))
-            if b <= cells and is_connected_skew(cells - b):
-                o = cells - t - b
-                for x in (RR, UU):
-                    if _adjacency_holds(o, t, b, x):
-                        out.append(WowStructure(gamma, x, t, b))
+    for t in _top_spans(gamma):
+        sr, sc = len(t) - 1, t[-1][0]  # t's SW box; t's diagonals run over [sc - sr, ne], b's up to ne - (sc - sr) - zr
+        top, b = zr - sr, tuple((l - sc, h - sc) for l, h in t)  # t moved by (top, -sc), from row top down
+        rest = _cut(rows, top, b) if 2 * (sc - sr) + zr - ne >= 2 else None
+        if rest is None or not _boxes(rest):
+            continue
+        sw, o_ne = _boxes(_cut(rest, 0, t))
+        found = [x for x in (RR, UU) if all(_inside(rows, c) for c in _adjacency_cells(sw, o_ne, x))]
+        if found:
+            w = SkewShape(tuple(h + 1 for _, h in t), tuple(l for l, _ in t))
+            upper, lower = _cells(0, t), _cells(top, b)
+            out += (_with_w(WowStructure(gamma, x, upper, lower), w) for x in found)
     out.sort(key=lambda s: (-len(s.upper_w), s.orientation, sorted(s.upper_w), sorted(s.lower_w)))
     return out
 
@@ -290,7 +353,8 @@ def compose_layout(
     translation that carries gamma's cells onto that cell's copy inside
     shape.  gamma's cells start at row 0 and column 0, so the least copy
     offsets are the union's least row and column, and subtracting them
-    puts every copy in shape's canonical frame.
+    puts every copy in shape's canonical frame.  Each row of shape is the
+    union of the copies' spans in it, which must be one interval.
     """
     acells = alpha.cells
     if not acells:
@@ -304,11 +368,25 @@ def compose_layout(
     offsets = {(r, c): (c * dr_e - r * dr_n, c * dc_e - r * dc_n) for r, c in acells}
     min_r, min_c = map(min, zip(*offsets.values()))
     frames = {box: (dr - min_r, dc - min_c) for box, (dr, dc) in offsets.items()}
-    union: set[Cell] = set()
-    gcells = structure.gamma.cells
-    for frame in frames.values():
-        union |= translate_cells(gcells, frame)
-    return skew_from_cells(union), frames
+    rows = list(zip(structure.gamma.padded_inner, structure.gamma.outer))
+    # each copy's half-open row spans, swept top down and left to right
+    spans = sorted((r + dr, m + dc, lam + dc) for dr, dc in frames.values() for r, (m, lam) in enumerate(rows))
+    lams, mus = [], []
+    for r, a, b in spans:
+        if r < len(lams):
+            if a > lams[r]:
+                raise NotSkewError(f"row {r} is not a contiguous interval")
+            lams[r] = max(lams[r], b)
+            continue
+        while len(lams) < r:  # an empty row between copies: as long as the row above starts
+            lams.append(mus[-1])
+            mus.append(mus[-1])
+        lams.append(b)
+        mus.append(a)
+    try:
+        return SkewShape(lams, mus), frames
+    except ShapeError as exc:
+        raise NotSkewError(f"cells are not a skew shape: {exc}") from exc
 
 
 def compose(alpha: SkewShape, structure: WowStructure) -> SkewShape:
@@ -326,10 +404,14 @@ class KeyRibbons(Record):
 
 
 def key_ribbons(structure: WowStructure) -> KeyRibbons:
-    """Key ribbons of gamma, read off gamma's own rims by diagonal.
+    """Key ribbons of gamma, read off the rows of gamma's own rims by diagonal.
 
-    Here delta(r, c) = c - r, the order in which rim_ribbon lists a rim,
-    which meets each diagonal of a connected shape once.  The key ribbons
+    Here delta(r, c) = c - r.  Row r of the NW rim (cells whose NW
+    neighbour is absent) runs from mu_r to mu_(r-1), or over all of row 0;
+    row r of the SE rim runs from lambda_(r+1) - 1, or over all of the last
+    row.  Each rim meets each diagonal of a connected shape once, in row
+    order from SW to NE.  O's least and greatest delta are those of its SW
+    and NE boxes, read off gamma's rows less the two W copies.  The key ribbons
     are segments of the rims of the amalgam U = gamma || _W gamma between
     the two copies of O: for RR the top one runs along U's NW rim from
     just after the first copy's O through the end of the second's, and
@@ -364,23 +446,24 @@ def key_ribbons(structure: WowStructure) -> KeyRibbons:
     gamma = structure.gamma
     dr, dc = structure.amalg_shift
     n = dc - dr
-    o0, o1 = _delta_span(structure.o_cells)
+    rows, last = _rows(gamma), len(gamma.outer) - 1
+    sw, ne = _boxes(_cut(_cut(rows, *_spans(structure.lower_w)), *_spans(structure.upper_w)))
+    o0, o1 = diagonal(sw), diagonal(ne)
+    nw = [(lo, min(hi, rows[r - 1][0]) if r else hi) for r, (lo, hi) in enumerate(rows)]
+    se = [(max(lo, rows[r + 1][1]) if r < last else lo, hi) for r, (lo, hi) in enumerate(rows)]
 
-    def segment(side: str, lo: int) -> frozenset[Cell]:
-        """gamma's rim on side over the diagonals [lo, lo + n)."""
-        rim = rim_ribbon(gamma, side)
-        start = lo - diagonal(rim[0])
-        cells = rim[max(start, 0) : start + n]
-        if len(cells) != n:
+    def segment(rim, lo: int) -> tuple[Composition, frozenset[Cell]]:
+        """The rim's row lengths and cells on the diagonals [lo, lo + n)."""
+        cut = [(r, max(a, lo + r), min(b, lo + n - 1 + r)) for r, (a, b) in enumerate(rim)]
+        comp = tuple(b - a + 1 for _, a, b in cut if a <= b)
+        if sum(comp) != n:
             raise StructureError("a key ribbon runs off gamma's rim")
-        return frozenset(cells)
+        return comp, frozenset((r, c) for r, a, b in cut for c in range(a, b + 1))
 
     if structure.orientation == RR:
-        top_fp, bottom_fp = segment("NW", o1 - n + 1), segment("SE", o0)
+        (top, top_fp), (bottom, bottom_fp) = segment(nw, o1 - n + 1), segment(se, o0)
     else:
-        top_fp, bottom_fp = segment("NW", o0), segment("SE", o1 - n + 1)
-    top = ribbon_composition_of(skew_from_cells(top_fp))
-    bottom = ribbon_composition_of(skew_from_cells(bottom_fp))
+        (top, top_fp), (bottom, bottom_fp) = segment(nw, o0), segment(se, o1 - n + 1)
     if len(top) != len(bottom):
         raise StructureError("key ribbons disagree in row count")
     return KeyRibbons(top, bottom, n, top_fp, bottom_fp)
@@ -403,11 +486,13 @@ def has_loose_end_ribbons(structure: WowStructure) -> LooseEnds:
     keys = structure.keys
 
     def beyond(side, footprint, before):
-        key_lo, key_hi = _delta_span(footprint)
-        for comp, cells in hopf.removable_ribbons(structure.gamma, keys.size, side):
-            lo, hi = _delta_span(cells)
-            if (lo < key_lo) if before else (hi > key_hi):
-                yield comp, cells
+        # a ribbon's least diagonal starts its bottom row, its greatest ends its top row
+        deltas = [c - r for r, c in footprint]
+        key_lo, key_hi = min(deltas), max(deltas)
+        return hopf.ribbon_entries(
+            rows for rows in hopf.ribbon_rows(structure.gamma, keys.size, side)
+            if ((rows[-1][1] - rows[-1][0] < key_lo) if before else (rows[0][2] - rows[0][0] > key_hi))
+        )
 
     rr = structure.orientation == RR
     witnesses = [
@@ -442,12 +527,12 @@ def rotate_structure(structure: WowStructure) -> WowStructure:
     bottom key footprints, so it maps loose ends onto loose ends.
     """
     gamma = structure.gamma
-    return WowStructure(
+    return _with_w(WowStructure(
         rotate180(gamma),
         structure.orientation,
         half_turn(structure.lower_w, gamma),
         half_turn(structure.upper_w, gamma),
-    )
+    ), rotate180(structure.w_shape))
 
 
 def transpose_structure(structure: WowStructure) -> WowStructure:
@@ -480,12 +565,12 @@ def transpose_structure(structure: WowStructure) -> WowStructure:
     def flip(cells):
         return frozenset((c, r) for r, c in cells)
 
-    return WowStructure(
+    return _with_w(WowStructure(
         transpose(structure.gamma),
         UU if structure.orientation == RR else RR,
         flip(structure.lower_w),
         flip(structure.upper_w),
-    )
+    ), transpose(structure.w_shape))
 
 
 def wow_catalog(max_size: int):

@@ -2,9 +2,24 @@ import functools
 
 import pytest
 
-from schurhopf import schur
-from schurhopf.shapes import parse_shape
+from schurhopf import schur, wow
+from schurhopf.shapes import ne_box, parse_shape, sw_box
 from schurhopf.wow import detect_wow, has_loose_end_ribbons, key_ribbons, wow_catalog
+
+
+# The cell forms of detect_wow's span walk and of the adjacency axiom.  The
+# library works on row spans only; the references in test_wow.py read these
+# as wow._top_placements and wow._adjacency_holds.
+def _top_placements(gamma):
+    return (wow._cells(0, spans) for spans in wow._top_spans(gamma))
+
+
+def _adjacency_holds(o_cells, upper_w, lower_w, orientation):
+    low, up = wow._adjacency_cells(sw_box(o_cells), ne_box(o_cells), orientation)
+    return low in lower_w and up in upper_w
+
+
+wow._top_placements, wow._adjacency_holds = _top_placements, _adjacency_holds
 
 
 @pytest.fixture(scope="session")

@@ -743,3 +743,40 @@ def test_benchmark_pool_replays(capsys, argv, code, digest):
     got_code, out, _ = run(capsys, *argv)
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CELL_ROUTINES = ("is_connected_skew", "canonicalize_cells", "ne_box", "sw_box", "rim_ribbon",
+                 "skew_from_cells")
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--max-size", "7", "--json"),
+    ("verify", "--beta", "2,1", "--gamma", "4,4,2,2/2,1", "--json"),
+], ids=["search", "verify"])
+def test_span_path_builds_no_cell_shapes(capsys, monkeypatch, argv):
+    # detection, composition, key ribbons and loose ends read lambda/mu row
+    # spans; every W shape is read from spans or carried by a symmetry
+    calls = []
+    for module in (shapes, hopf, wow, verifier, schur):
+        for name in CELL_ROUTINES:
+            if hasattr(module, name):
+                calls.append(count_calls(monkeypatch, name, module))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)
+    assert [len(c) for c in calls] == [0] * len(calls)
+
+
+def test_json_written_in_few_chunks(monkeypatch):
+    # stdout may pass every write straight to the system, so pieces are gathered
+    class Counting(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            Counting.writes += 1
+            return super().write(text)
+
+    fake = Counting()
+    monkeypatch.setattr(sys, "stdout", fake)
+    assert main(["search", "--max-size", "7", "--json"]) == 0
+    size = len(fake.getvalue().encode())
+    assert Counting.writes <= -(-size // 65536) + 1

@@ -382,3 +382,10 @@ class TestClasses:
         for s in box_bounded_shapes(6, 5):
             digest.update(json.dumps(coproduct_to_json(coproduct(s)), sort_keys=True).encode())
         assert digest.hexdigest()[:16] == "07cb835b9e6732ab"
+
+
+def test_shape_class_builds_the_direct_sum_of_components():
+    from schurhopf.shapes import box_bounded_shapes, connected_components, direct_sum
+
+    for shape in box_bounded_shapes(8, 5):
+        assert hopf.shape_class(shape) == direct_sum(connected_components(shape)), shape

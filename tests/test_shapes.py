@@ -490,3 +490,11 @@ class TestEnumerations:
 
     def test_partitions_of(self):
         assert list(partitions_of(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+def test_conjugate_counts_the_parts_above_each_column():
+    from schurhopf.shapes import conjugate, partitions_in_box
+
+    for part in partitions_in_box(6, 6):
+        expected = tuple(sum(p > j for p in part) for j in range(part[0] if part else 0))
+        assert conjugate(part) == expected

@@ -723,3 +723,42 @@ class TestStructureSurface:
         assert data["gamma"] == "4,4,2,2/2,1"
         assert data["orientation"] == RR
         assert data["upper_w"] == [(0, 3), (1, 3)]
+
+
+def _loose_ends_by_cells(structure):
+    """Reference: the cell-based removable_ribbons filter, by each ribbon's diagonal span."""
+    from schurhopf.hopf import removable_ribbons
+
+    keys = key_ribbons(structure)
+
+    def span(cells):
+        deltas = [c - r for r, c in cells]
+        return min(deltas), max(deltas)
+
+    rr = structure.orientation == RR
+    out = []
+    for side, footprint, before in (("left", keys.top_footprint, rr),
+                                    ("right", keys.bottom_footprint, not rr)):
+        key_lo, key_hi = span(footprint)
+        for comp, cells in removable_ribbons(structure.gamma, keys.size, side):
+            lo, hi = span(cells)
+            if (lo < key_lo) if before else (hi > key_hi):
+                out.append((comp, cells))
+    return tuple(out)
+
+
+def test_span_layers_match_cell_references_up_to_11_cells():
+    # key ribbons, composition and loose ends on every structure of every
+    # connected gamma of at most 11 cells, against the cell-level references
+    from test_properties import _compose_in_frame
+
+    betas = [shp(b) for b in ("2,1", "2,2/1", "2,2", "3,2", "2,2,1")]
+    gammas = [g for n in range(1, 12) for g in connected_shapes(n)]
+    structures = [st for g in gammas for st in detect_wow(g)]
+    assert len(gammas) == 5235
+    for st in structures:
+        assert key_ribbons(st) == _reference_key_ribbons(st), st
+        assert has_loose_end_ribbons(st).witnesses == _loose_ends_by_cells(st), st
+        for beta in betas[: 2 if st.gamma.size > 8 else 5]:
+            assert compose(beta, st) == _compose_in_frame(
+                beta.cells, st.gamma.cells, st.upper_w, st.lower_w, st.orientation), st
