@@ -119,13 +119,9 @@ def removable_ribbons(
 
 def ribbon_entries(ribbons) -> list[tuple[Composition, frozenset]]:
     """(composition, cells) of each ribbon given by its rows, ordered by sorted cells."""
-    out = [
-        (tuple(b - a + 1 for _, a, b in rows),
-         frozenset((q, c) for q, a, b in rows for c in range(a, b + 1)))
-        for rows in ribbons
-    ]
-    out.sort(key=lambda item: tuple(sorted(item[1])))
-    return out
+    out = [(tuple(b - a + 1 for _, a, b in rows),
+            frozenset((q, c) for q, a, b in rows for c in range(a, b + 1))) for rows in ribbons]
+    return sorted(out, key=lambda item: tuple(sorted(item[1])))
 
 
 def ribbon_rows(shape: SkewShape, n: int, side: str):

@@ -10,7 +10,7 @@ each other.  Rows grow downward and columns grow rightward, so
 from __future__ import annotations
 
 from functools import cached_property
-from operator import attrgetter, ge, index, lt
+from operator import attrgetter, index, lt
 
 Cell = tuple[int, int]
 Partition = tuple[int, ...]
@@ -48,14 +48,15 @@ def check_partition(parts) -> Partition:
     __index__, so no float or str), and anything non-monotone or
     negative, is rejected.
     """
-    out = integers(parts)
+    out = list(integers(parts))
     while out and out[-1] == 0:
-        out = out[:-1]
-    if not all(map(ge, out, out[1:])):
-        raise ShapeError(f"parts not weakly decreasing: {out}")
+        out.pop()
+    for a, b in zip(out, out[1:]):
+        if b > a:
+            raise ShapeError(f"parts not weakly decreasing: {tuple(out)}")
     if out and out[-1] < 0:
         raise ShapeError(f"negative part {out[-1]!r}")
-    return out
+    return tuple(out)
 
 
 def partitions_of(n: int, max_part: int | None = None):
@@ -343,17 +344,12 @@ def component_pairs(shape: SkewShape) -> list:
     is cut on both sides.  As lam >= mu part by part, lam[a:b] > mu[a:b]
     fails only on such an empty block, which is skipped.  A block's least
     column is its bottom row's mu, so subtracting it gives the minimal pair.
-
-    hopf.shape_class relies on this order: a class is the direct sum of
-    the components, so the order makes that shape canonical.
+    hopf.shape_class relies on this order to make a class's shape canonical.
     """
     lam, mu = shape.outer, shape.padded_inner
     cuts = [0, *(i for i in range(1, len(lam)) if mu[i - 1] >= lam[i]), len(lam)]
-    pairs = [
-        (tuple(x - mu[b - 1] for x in lam[a:b]), tuple(x - mu[b - 1] for x in mu[a:b]))
-        for a, b in zip(cuts, cuts[1:])
-        if lam[a:b] > mu[a:b]
-    ]
+    pairs = [(tuple(x - mu[b - 1] for x in lam[a:b]), tuple(x - mu[b - 1] for x in mu[a:b]))
+             for a, b in zip(cuts, cuts[1:]) if lam[a:b] > mu[a:b]]
     return sorted(pairs, key=lambda p: (sum(p[0]) - sum(p[1]), tuple(row_cells(*p))))
 
 

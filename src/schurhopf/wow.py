@@ -64,6 +64,7 @@ class WowStructure(Record):
 
     @cached_property
     def w_shape(self) -> SkewShape:
+        """skew_from_cells(upper_w); the three builders fill it in from W's row spans."""
         return skew_from_cells(self.upper_w)
 
     @cached_property
@@ -111,12 +112,6 @@ class WowStructure(Record):
         return f"WowStructure({self.describe()!r})"
 
 
-def _adjacency_cells(sw: Cell, ne: Cell, orientation: str) -> tuple[Cell, Cell]:
-    """The cells that O, with SW box sw and NE box ne, needs in the lower and the upper W."""
-    (r1, c1), (r2, c2) = sw, ne
-    return ((r1, c1 - 1), (r2, c2 + 1)) if orientation == RR else ((r1 + 1, c1), (r2 - 1, c2))
-
-
 def _rows(shape: SkewShape) -> list[tuple[int, int]]:
     """shape's rows as inclusive column spans (lo, hi), top down; an emptied row reads lo > hi."""
     return [(m, lam - 1) for m, lam in zip(shape.padded_inner, shape.outer)]
@@ -133,41 +128,29 @@ def _cut(rows, top, spans):
     return rows
 
 
-def _joins(above, row, closed: bool = False) -> bool:
-    """Whether a nonempty row may follow rows ending in above in a connected skew shape.
-
-    As shapes.is_connected_skew reads cells: the nonempty rows must be
-    consecutive (closed: an emptied row follows a nonempty one), each
-    starting and ending weakly right of the one below it and overlapping it.
-    """
-    return not closed and (above[0] > above[1] or row[0] <= above[0] <= row[1] <= above[1])
-
-
 def _boxes(rows) -> tuple[Cell, Cell] | None:
-    """SW and NE boxes of the nonempty shape with these rows; None unless it is connected skew."""
+    """SW and NE boxes of the nonempty shape with these rows; None unless it is connected skew.
+
+    As shapes.is_connected_skew reads cells: the nonempty rows are consecutive,
+    each starting and ending weakly right of the next and overlapping it.
+    """
     full = [r for r, (lo, hi) in enumerate(rows) if lo <= hi]
     a, b = full[0], full[-1]
-    if b - a >= len(full) or not all(map(_joins, rows[a:b], rows[a + 1 : b + 1])):
+    pairs = zip(rows[a:b], rows[a + 1 : b + 1])
+    if b - a >= len(full) or not all(l <= lo <= h <= hi for (lo, hi), (l, h) in pairs):
         return None
     return (b, rows[b][0]), (a, rows[a][1])
 
 
-def _inside(rows, cell: Cell) -> bool:
-    r, c = cell
-    return 0 <= r < len(rows) and rows[r][0] <= c <= rows[r][1]
+def _adjacent(rows, sw: Cell, ne: Cell, orientation: str) -> bool:
+    """Whether the rows hold the cells that O, with SW box sw and NE box ne, needs beside it."""
+    (r1, c1), (r2, c2) = sw, ne
+    cells = ((r1, c1 - 1), (r2, c2 + 1)) if orientation == RR else ((r1 + 1, c1), (r2 - 1, c2))
+    return all(0 <= r < len(rows) and rows[r][0] <= c <= rows[r][1] for r, c in cells)
 
 
 def _cells(top, spans) -> frozenset[Cell]:
     return frozenset((r, c) for r, (l, h) in enumerate(spans, top) for c in range(l, h + 1))
-
-
-def _spans(cells) -> tuple[int, list[tuple[int, int]]]:
-    """The top row and the row spans of a skew cell set."""
-    by_row: dict[int, list[int]] = {}
-    for r, c in cells:
-        by_row.setdefault(r, []).append(c)
-    top = min(by_row)
-    return top, [(min(by_row[r]), max(by_row[r])) for r in range(top, top + len(by_row))]
 
 
 def _with_w(structure: WowStructure, w: SkewShape) -> WowStructure:
@@ -182,19 +165,16 @@ def _top_spans(gamma: SkewShape):
     A placement is a stack of row spans: row 0 is [lo, lambda_0 - 1] and
     each next row [l, h] lies in gamma's row with l <= lo <= h <= hi.  It
     has at most (|gamma| - 1) // 2 cells and is yielded when the rest of
-    gamma, read row by row off gamma's rows less the spans, is a connected
-    skew shape.  A row touching neither end of gamma's row splits the
-    rest's row in two, and every deeper placement keeps that row, so its
-    branch is cut; so is a row of the rest that cannot follow the last.
+    gamma, read off gamma's rows less the spans, is a connected skew shape.
+    A row touching neither end of gamma's row splits the rest's row in two,
+    and every deeper placement keeps that row, so its branch is cut.
     """
     rows = _rows(gamma)
     lam, mu = gamma.outer, gamma.padded_inner
     max_w = (gamma.size - 1) // 2
 
-    def rec(r, lo, hi, spans, size, rest, closed):
-        # rest: gamma's row r less t's; closed as in _joins for the rows of
-        # gamma - t so far.  A row that cannot follow them cuts its branch.
-        if r + 1 == len(rows) or _joins(rest, rows[r + 1], closed):
+    def rec(r, lo, hi, spans, size):
+        if _boxes(_cut(rows, 0, spans)):
             yield spans
         r += 1
         if r == len(rows):
@@ -204,15 +184,11 @@ def _top_spans(gamma: SkewShape):
                 if size + h - l + 1 > max_w:
                     break
                 if l == mu[r] or h == lam[r] - 1:
-                    row = (mu[r], l - 1) if h == lam[r] - 1 else (h + 1, lam[r] - 1)
-                    empty = row[0] > row[1]
-                    if empty or _joins(rest, row, closed):
-                        yield from rec(r, l, h, (*spans, (l, h)), size + h - l + 1, row,
-                                       empty and (closed or rest[0] <= rest[1]))
+                    yield from rec(r, l, h, (*spans, (l, h)), size + h - l + 1)
 
     hi = lam[0] - 1
     for lo in range(hi, max(mu[0], hi + 1 - max_w) - 1, -1):
-        yield from rec(0, lo, hi, ((lo, hi),), hi - lo + 1, (mu[0], lo - 1), False)
+        yield from rec(0, lo, hi, ((lo, hi),), hi - lo + 1)
 
 
 def detect_wow(gamma: SkewShape) -> list[WowStructure]:
@@ -227,12 +203,10 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
     lies in gamma and leaves a connected skew shape, a t and b on
     diagonals from t0 and up to b1 <= t0 - 2 need only an orientation's
     adjacency, as proved below.  Here diagonal(r, c) = c - r,
-    and the product order x <= y runs NW to SE along a diagonal.  O's SW
-    and NE boxes lie on diagonals o0 <= b1 + 1 and o1 >= t0 - 1 (Lemma 1),
-    so the cell that adjacency asks for beside the SW box, on o0 - 1 < t0,
-    is not in t, and the one beside the NE box, on o1 + 1 > b1, is not in
-    b; neither is in O.  So each lies in its W copy exactly when it lies in
-    gamma, which is how detection tests them.
+    and the product order x <= y runs NW to SE along a diagonal.  The cells
+    adjacency asks for beside O's SW and NE boxes lie on o0 - 1 <= b1 and
+    o1 + 1 >= t0 (Lemma 1), outside O, so the first is not in t and the
+    second not in b: each is in its W copy exactly when it is in gamma.
 
     Lemma 1: O is a nonempty connected skew shape.  A finite cell set is
     skew iff convex in the product order, and then connected iff its
@@ -279,7 +253,7 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
         if rest is None or not _boxes(rest):
             continue
         sw, o_ne = _boxes(_cut(rest, 0, t))
-        found = [x for x in (RR, UU) if all(_inside(rows, c) for c in _adjacency_cells(sw, o_ne, x))]
+        found = [x for x in (RR, UU) if _adjacent(rows, sw, o_ne, x)]
         if found:
             w = SkewShape(tuple(h + 1 for _, h in t), tuple(l for l, _ in t))
             upper, lower = _cells(0, t), _cells(top, b)
@@ -354,7 +328,7 @@ def compose_layout(
     shape.  gamma's cells start at row 0 and column 0, so the least copy
     offsets are the union's least row and column, and subtracting them
     puts every copy in shape's canonical frame.  Each row of shape is the
-    union of the copies' spans in it, which must be one interval.
+    union of the copies' row spans, which must be one interval.
     """
     acells = alpha.cells
     if not acells:
@@ -377,12 +351,10 @@ def compose_layout(
             if a > lams[r]:
                 raise NotSkewError(f"row {r} is not a contiguous interval")
             lams[r] = max(lams[r], b)
-            continue
-        while len(lams) < r:  # an empty row between copies: as long as the row above starts
-            lams.append(mus[-1])
-            mus.append(mus[-1])
-        lams.append(b)
-        mus.append(a)
+        else:  # a row left empty between copies is as long as the row above starts
+            gap = mus[-1:] * (r - len(lams))
+            lams += gap + [b]
+            mus += gap + [a]
     try:
         return SkewShape(lams, mus), frames
     except ShapeError as exc:
@@ -406,12 +378,9 @@ class KeyRibbons(Record):
 def key_ribbons(structure: WowStructure) -> KeyRibbons:
     """Key ribbons of gamma, read off the rows of gamma's own rims by diagonal.
 
-    Here delta(r, c) = c - r.  Row r of the NW rim (cells whose NW
-    neighbour is absent) runs from mu_r to mu_(r-1), or over all of row 0;
-    row r of the SE rim runs from lambda_(r+1) - 1, or over all of the last
-    row.  Each rim meets each diagonal of a connected shape once, in row
-    order from SW to NE.  O's least and greatest delta are those of its SW
-    and NE boxes, read off gamma's rows less the two W copies.  The key ribbons
+    Here delta(r, c) = c - r.  Row r of the NW rim runs from mu_r to
+    mu_(r-1) and of the SE rim from lambda_(r+1) - 1 (the end rows whole),
+    and a rim meets each diagonal of a connected shape once.  The key ribbons
     are segments of the rims of the amalgam U = gamma || _W gamma between
     the two copies of O: for RR the top one runs along U's NW rim from
     just after the first copy's O through the end of the second's, and
@@ -446,8 +415,11 @@ def key_ribbons(structure: WowStructure) -> KeyRibbons:
     gamma = structure.gamma
     dr, dc = structure.amalg_shift
     n = dc - dr
-    rows, last = _rows(gamma), len(gamma.outer) - 1
-    sw, ne = _boxes(_cut(_cut(rows, *_spans(structure.lower_w)), *_spans(structure.upper_w)))
+    rows, last, w = _rows(gamma), len(gamma.outer) - 1, structure.w_shape
+    # the lower W copy has gamma's SW box (last, 0) as its own, the upper one its NE box
+    lower, shift = _rows(w), gamma.outer[0] - w.outer[0]
+    o = _cut(_cut(rows, last + 1 - len(lower), lower), 0, [(l + shift, h + shift) for l, h in lower])
+    sw, ne = _boxes(o)
     o0, o1 = diagonal(sw), diagonal(ne)
     nw = [(lo, min(hi, rows[r - 1][0]) if r else hi) for r, (lo, hi) in enumerate(rows)]
     se = [(max(lo, rows[r + 1][1]) if r < last else lo, hi) for r, (lo, hi) in enumerate(rows)]

@@ -762,3 +762,14 @@ def test_span_layers_match_cell_references_up_to_11_cells():
         for beta in betas[: 2 if st.gamma.size > 8 else 5]:
             assert compose(beta, st) == _compose_in_frame(
                 beta.cells, st.gamma.cells, st.upper_w, st.lower_w, st.orientation), st
+
+
+def test_filled_in_w_shape_is_the_shape_of_the_upper_w():
+    # detect_wow, rotate_structure and transpose_structure give each structure
+    # its W from row spans or a symmetry; it must be the shape of upper_w
+    for n in range(1, 11):
+        for gamma in connected_shapes(n):
+            for st in detect_wow(gamma):
+                for image in (st, rotate_structure(st), transpose_structure(st),
+                              rotate_structure(transpose_structure(st))):
+                    assert vars(image)["w_shape"] == skew_from_cells(image.upper_w), image
