@@ -5,7 +5,10 @@ translates of a connected shape W, one in the top (containing the
 northeasternmost box) and one in the bottom, separated by at least one
 diagonal, whose removal singly or jointly leaves connected shapes, with
 the orientation-specific adjacency between O and the W copies.  W is
-then maximal on its diagonals; detect_wow's docstring proves it.
+then maximal on its diagonals; detect_wow's docstring proves it.  W
+also fixes both copies, as the top one's NE box is gamma's and the
+bottom one's SW box is gamma's (WowStructure says why), so a structure
+is held as (gamma, orientation, W) and its cells are built on demand.
 
 A structure is valid exactly when it is a member of detect_wow(gamma);
 WowStructure checks nothing, and find_structure is the checked way in.
@@ -28,10 +31,10 @@ from .shapes import (
     connected_shapes,
     diagonal,
     format_shape,
-    half_turn,
     is_connected,
     ne_box,
     rotate180,
+    row_cells,
     shape_sort_key,
     skew_from_cells,
     sw_box,
@@ -48,30 +51,38 @@ class StructureError(ValueError):
 
 
 class WowStructure(Record):
-    """A structure on gamma, built unchecked.
+    """A structure on gamma, built unchecked: gamma, its orientation and W.
 
-    Only detect_wow, rotate_structure and transpose_structure build one.
+    W fixes both copies.  The upper one holds gamma's NE box, and no cell
+    of gamma lies above that box or right of it in its row, so the box is
+    the copy's own NE box too; detect_wow's docstring shows that the lower
+    copy's SW box is gamma's.  Only detect_wow, rotate_structure and
+    transpose_structure build one.
     """
 
     gamma: SkewShape
     orientation: str
-    upper_w: frozenset[Cell]
-    lower_w: frozenset[Cell]
+    w_shape: SkewShape
+
+    @cached_property
+    def upper_w(self) -> frozenset[Cell]:
+        """W moved right onto gamma's NE box."""
+        return translate_cells(self.w_shape.cells, (0, self.amalg_shift[1]))
+
+    @cached_property
+    def lower_w(self) -> frozenset[Cell]:
+        """W moved down onto gamma's SW box."""
+        return translate_cells(self.w_shape.cells, (-self.amalg_shift[0], 0))
 
     @cached_property
     def o_cells(self) -> frozenset[Cell]:
         return self.gamma.cells - self.upper_w - self.lower_w
 
     @cached_property
-    def w_shape(self) -> SkewShape:
-        """skew_from_cells(upper_w); the three builders fill it in from W's row spans."""
-        return skew_from_cells(self.upper_w)
-
-    @cached_property
     def amalg_shift(self) -> Cell:
         """Translation taking the lower W copy onto the upper one."""
-        (ur, uc), (lr, lc) = min(self.upper_w), min(self.lower_w)
-        return (ur - lr, uc - lc)
+        gamma, w = self.gamma, self.w_shape
+        return (len(w.outer) - len(gamma.outer), gamma.outer[0] - w.outer[0])
 
     @cached_property
     def dot_shift(self) -> Cell:
@@ -90,12 +101,11 @@ class WowStructure(Record):
 
     def describe(self) -> str:
         arrow = "->" if self.orientation == RR else "^"
-        ur, uc = min(self.upper_w)
-        lr, lc = min(self.lower_w)
+        (dr, dc), mu0 = self.amalg_shift, self.w_shape.padded_inner[0]  # each copy's least cell
         return (
             f"W {arrow} O {arrow} W: gamma={format_shape(self.gamma)}; "
             f"W={format_shape(self.w_shape)}"
-            f"@top({ur},{uc})/bottom({lr},{lc})"
+            f"@top(0,{dc + mu0})/bottom({-dr},{mu0})"
         )
 
     def to_json(self):
@@ -147,16 +157,6 @@ def _adjacent(rows, sw: Cell, ne: Cell, orientation: str) -> bool:
     (r1, c1), (r2, c2) = sw, ne
     cells = ((r1, c1 - 1), (r2, c2 + 1)) if orientation == RR else ((r1 + 1, c1), (r2 - 1, c2))
     return all(0 <= r < len(rows) and rows[r][0] <= c <= rows[r][1] for r, c in cells)
-
-
-def _cells(top, spans) -> frozenset[Cell]:
-    return frozenset((r, c) for r, (l, h) in enumerate(spans, top) for c in range(l, h + 1))
-
-
-def _with_w(structure: WowStructure, w: SkewShape) -> WowStructure:
-    """structure with its w_shape filled in, so that no cell set is read for it."""
-    vars(structure)["w_shape"] = w
-    return structure
 
 
 def _top_spans(gamma: SkewShape):
@@ -255,11 +255,11 @@ def detect_wow(gamma: SkewShape) -> list[WowStructure]:
         sw, o_ne = _boxes(_cut(rest, 0, t))
         found = [x for x in (RR, UU) if _adjacent(rows, sw, o_ne, x)]
         if found:
-            w = SkewShape(tuple(h + 1 for _, h in t), tuple(l for l, _ in t))
-            upper, lower = _cells(0, t), _cells(top, b)
-            out += (_with_w(WowStructure(gamma, x, upper, lower), w) for x in found)
-    out.sort(key=lambda s: (-len(s.upper_w), s.orientation, sorted(s.upper_w), sorted(s.lower_w)))
-    return out
+            outer, inner = tuple(h + 1 for _, h in t), tuple(l for l, _ in t)  # the upper copy's pair
+            w, upper = SkewShape(outer, inner), tuple(row_cells(outer, inner))  # its cells, sorted
+            out += (((-w.size, x, upper), WowStructure(gamma, x, w)) for x in found)
+    out.sort(key=lambda pair: pair[0])
+    return [st for _, st in out]
 
 
 def find_structure(gamma: SkewShape, orientation: str, upper_w, lower_w) -> WowStructure:
@@ -415,10 +415,9 @@ def key_ribbons(structure: WowStructure) -> KeyRibbons:
     gamma = structure.gamma
     dr, dc = structure.amalg_shift
     n = dc - dr
-    rows, last, w = _rows(gamma), len(gamma.outer) - 1, structure.w_shape
-    # the lower W copy has gamma's SW box (last, 0) as its own, the upper one its NE box
-    lower, shift = _rows(w), gamma.outer[0] - w.outer[0]
-    o = _cut(_cut(rows, last + 1 - len(lower), lower), 0, [(l + shift, h + shift) for l, h in lower])
+    rows, last, w = _rows(gamma), len(gamma.outer) - 1, _rows(structure.w_shape)
+    # the lower W copy is W's rows from row -dr down, the upper one its rows moved dc right
+    o = _cut(_cut(rows, -dr, w), 0, [(l + dc, h + dc) for l, h in w])
     sw, ne = _boxes(o)
     o0, o1 = diagonal(sw), diagonal(ne)
     nw = [(lo, min(hi, rows[r - 1][0]) if r else hi) for r, (lo, hi) in enumerate(rows)]
@@ -498,13 +497,7 @@ def rotate_structure(structure: WowStructure) -> WowStructure:
     right-removable ribbons and, reversing the diagonals, the top and
     bottom key footprints, so it maps loose ends onto loose ends.
     """
-    gamma = structure.gamma
-    return _with_w(WowStructure(
-        rotate180(gamma),
-        structure.orientation,
-        half_turn(structure.lower_w, gamma),
-        half_turn(structure.upper_w, gamma),
-    ), rotate180(structure.w_shape))
+    return WowStructure(rotate180(structure.gamma), structure.orientation, rotate180(structure.w_shape))
 
 
 def transpose_structure(structure: WowStructure) -> WowStructure:
@@ -533,16 +526,8 @@ def transpose_structure(structure: WowStructure) -> WowStructure:
     As omega is a ring automorphism with omega s_A = s_A', beta on S' has
     the verdict of beta' on S.
     """
-
-    def flip(cells):
-        return frozenset((c, r) for r, c in cells)
-
-    return _with_w(WowStructure(
-        transpose(structure.gamma),
-        UU if structure.orientation == RR else RR,
-        flip(structure.lower_w),
-        flip(structure.upper_w),
-    ), transpose(structure.w_shape))
+    orientation = UU if structure.orientation == RR else RR
+    return WowStructure(transpose(structure.gamma), orientation, transpose(structure.w_shape))
 
 
 def wow_catalog(max_size: int):

@@ -746,7 +746,7 @@ def test_benchmark_pool_replays(capsys, argv, code, digest):
 
 
 CELL_ROUTINES = ("is_connected_skew", "canonicalize_cells", "ne_box", "sw_box", "rim_ribbon",
-                 "skew_from_cells")
+                 "skew_from_cells", "half_turn")
 
 
 @pytest.mark.parametrize("argv", [

@@ -129,6 +129,21 @@ def test_only_wow_builds_structures(path):
     assert "WowStructure" not in set(_called_names(tree)), f"{path.name} builds a WowStructure"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_store_into_vars(path):
+    # Record refuses assignment; a store into an instance's vars() would get
+    # round that, so none is made (a constructor's __dict__.update is its own)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stores = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "vars"
+    ]
+    assert not stores, f"{path.name} stores into vars(...) on lines {stores}"
+
+
 # dataclasses pulls in inspect (and ast, dis, tokenize), fractions pulls in
 # decimal; a CLI call needs none of them, a proof trace included
 HEAVY = ("dataclasses", "inspect", "fractions", "decimal")

@@ -172,8 +172,16 @@ def _row_minus_col(cell):
     return cell[0] - cell[1]
 
 
+def _cell_tuples(structures):
+    """(gamma, orientation, upper_w, lower_w) of each structure, as the reference walks give them."""
+    return [(st.gamma, st.orientation, st.upper_w, st.lower_w) for st in structures]
+
+
 def _reference_detect(gamma):
-    """Reference: the polyomino walk, filtered, with maximality over all 2^|band| extensions."""
+    """Reference: the polyomino walk, filtered, with maximality over all 2^|band| extensions.
+
+    Returns (gamma, orientation, top, bottom) tuples, in detect_wow's order.
+    """
     cells = gamma.cells
     max_w = (gamma.size - 1) // 2
 
@@ -207,10 +215,8 @@ def _reference_detect(gamma):
                         continue
                     bigger_tops = set(extensions(t))
                     if not bigger_tops or not bigger_tops & set(extensions(b)):
-                        out.append(WowStructure(gamma, orientation, t, b))
-    out.sort(
-        key=lambda s: (-len(s.upper_w), s.orientation, sorted(s.upper_w), sorted(s.lower_w))
-    )
+                        out.append((gamma, orientation, t, b))
+    out.sort(key=lambda s: (-len(s[2]), s[1], sorted(s[2]), sorted(s[3])))
     return out
 
 
@@ -362,7 +368,7 @@ class TestAgainstSubsetWalk:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_connected_gamma(self, n):
         for gamma in connected_shapes(n):
-            assert detect_wow(gamma) == _reference_detect(gamma), format_shape(gamma)
+            assert _cell_tuples(detect_wow(gamma)) == _reference_detect(gamma), format_shape(gamma)
 
     def test_square(self):
         gamma = shp("5,5,5,5,5")
@@ -375,7 +381,10 @@ class TestAgainstSubsetWalk:
 
 
 def _two_walk_detect(gamma):
-    """Reference: bottoms walked as the half-turned tops of rotate180(gamma), paired by shape."""
+    """Reference: bottoms walked as the half-turned tops of rotate180(gamma), paired by shape.
+
+    Returns (gamma, orientation, top, bottom) tuples, in detect_wow's order.
+    """
     cells = gamma.cells
 
     def by_shape(placements):
@@ -394,10 +403,8 @@ def _two_walk_detect(gamma):
                     o = cells - t - b
                     for orientation in (RR, UU):
                         if wow._adjacency_holds(o, t, b, orientation):
-                            out.append(WowStructure(gamma, orientation, t, b))
-    out.sort(
-        key=lambda s: (-len(s.upper_w), s.orientation, sorted(s.upper_w), sorted(s.lower_w))
-    )
+                            out.append((gamma, orientation, t, b))
+    out.sort(key=lambda s: (-len(s[2]), s[1], sorted(s[2]), sorted(s[3])))
     return out
 
 
@@ -409,14 +416,14 @@ class TestOneBottomPerTop:
         structures = 0
         for gamma in gammas:
             found = detect_wow(gamma)
-            assert found == _two_walk_detect(gamma), format_shape(gamma)
+            assert _cell_tuples(found) == _two_walk_detect(gamma), format_shape(gamma)
             structures += len(found)
         assert (len(gammas), structures) == (2964, 2336)
 
     @settings(PROPERTY, max_examples=400)
     @given(shapes(max_cells=24).filter(lambda g: g.size and is_connected(g)))
     def test_sampled_gammas(self, gamma):
-        assert detect_wow(gamma) == _two_walk_detect(gamma), format_shape(gamma)
+        assert _cell_tuples(detect_wow(gamma)) == _two_walk_detect(gamma), format_shape(gamma)
 
 
 def _reference_placements(w, a, target):
@@ -765,11 +772,27 @@ def test_span_layers_match_cell_references_up_to_11_cells():
 
 
 def test_filled_in_w_shape_is_the_shape_of_the_upper_w():
-    # detect_wow, rotate_structure and transpose_structure give each structure
-    # its W from row spans or a symmetry; it must be the shape of upper_w
+    # a structure holds W alone, and its copies are W placed on gamma's NE and
+    # SW boxes; on the images they must be the half-turn or transpose of the
+    # source's copies, which the reference walks check on detect_wow's own
+    def flip(cells):
+        return frozenset((c, r) for r, c in cells)
+
     for n in range(1, 11):
         for gamma in connected_shapes(n):
             for st in detect_wow(gamma):
-                for image in (st, rotate_structure(st), transpose_structure(st),
-                              rotate_structure(transpose_structure(st))):
-                    assert vars(image)["w_shape"] == skew_from_cells(image.upper_w), image
+                turned, flipped = rotate_structure(st), transpose_structure(st)
+                assert (turned.upper_w, turned.lower_w) == (
+                    half_turn(st.lower_w, gamma), half_turn(st.upper_w, gamma)), st
+                assert (flipped.upper_w, flipped.lower_w) == (flip(st.lower_w), flip(st.upper_w)), st
+
+
+def test_cells_built_only_for_output():
+    # a structure is (gamma, orientation, W): detection and its sort, describe,
+    # the shifts, key ribbons and loose ends read W's pair, so the copies' and
+    # O's cells are built only when output or a caller asks for them
+    assert WowStructure._fields == ("gamma", "orientation", "w_shape")
+    for st in wow.wow_catalog(8):
+        for image in (st, rotate_structure(st), transpose_structure(st)):
+            image.describe(), image.dot_shift, image.keys, image.loose_ends
+            assert not {"upper_w", "lower_w", "o_cells"} & vars(image).keys(), image
